@@ -18,7 +18,8 @@ Cell computation per step (sigma is the logistic function, * elementwise):
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+import copy
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,9 +38,14 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 class CellParams:
     """Per-gate weights of one LSTM cell.
 
-    Input weights are (hidden_size, input_size), recurrent weights
-    (hidden_size, hidden_size), biases (hidden_size,), following the
-    column-vector convention of the cell equations above.
+    The gate fields follow the column-vector convention of the cell
+    equations above: input weights (hidden_size, input_size), recurrent
+    weights (hidden_size, hidden_size), biases (hidden_size,).
+
+    Construction packs them into the operands the batched engine uses,
+    gates ordered i, f, o, g along the last axis: ``wx`` (input_size, 4H),
+    ``wh`` (H, 4H) and ``b`` (4H,), all C-contiguous. Each gate field then
+    becomes a view of them (``Wx_i`` is ``wx[:, :H].T``).
     """
 
     Wx_i: np.ndarray
@@ -54,35 +60,42 @@ class CellParams:
     b_f: np.ndarray
     b_o: np.ndarray
     b_g: np.ndarray
-    check_finite: InitVar[bool] = True
 
-    def __post_init__(self, check_finite: bool):
-        hidden, inp = self.Wx_i.shape
-        for gate in _GATE_ORDER:
-            if getattr(self, f"Wx_{gate}").shape != (hidden, inp):
-                raise ShapeError(f"Wx_{gate} must have shape {(hidden, inp)}")
-            if getattr(self, f"Wh_{gate}").shape != (hidden, hidden):
-                raise ShapeError(f"Wh_{gate} must have shape {(hidden, hidden)}")
-            if getattr(self, f"b_{gate}").shape != (hidden,):
-                raise ShapeError(f"b_{gate} must have shape {(hidden,)}")
-        if check_finite and not all(np.isfinite(b).all() for b in self.blocks()):
+    def __post_init__(self):
+        blocks = {f.name: getattr(self, f.name) for f in fields(self)}
+        if blocks["Wx_i"].ndim != 2:
+            raise ShapeError(f"Wx_i must be 2-D, got shape {blocks['Wx_i'].shape}")
+        hidden, inp = blocks["Wx_i"].shape
+        expected = {"Wx": (hidden, inp), "Wh": (hidden, hidden), "b": (hidden,)}
+        for name, block in blocks.items():
+            want = expected[name[:-2]]
+            if block.shape != want:
+                raise ShapeError(f"{name} has shape {block.shape} but Wx_i implies {want}")
+        wx, wh, b = (
+            np.concatenate([blocks[f"{kind}_{gate}"].T for gate in _GATE_ORDER], axis=-1)
+            for kind in expected
+        )
+        if not all(np.isfinite(a).all() for a in (wx, wh, b)):
             raise ValidationError("cell parameters contain non-finite entries")
+        self._point_at(wx, wh, b)
+
+    def _point_at(self, wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> None:
+        """Make wx/wh/b the storage and every gate field a view of them."""
+        self.wx, self.wh, self.b = wx, wh, b
+        hid = wh.shape[0]
+        for k, gate in enumerate(_GATE_ORDER):
+            cols = slice(k * hid, (k + 1) * hid)
+            setattr(self, f"Wx_{gate}", wx[:, cols].T)
+            setattr(self, f"Wh_{gate}", wh[:, cols].T)
+            setattr(self, f"b_{gate}", b[cols])
 
     @property
     def hidden_size(self) -> int:
-        return self.Wx_i.shape[0]
+        return self.wh.shape[0]
 
     @property
     def input_size(self) -> int:
-        return self.Wx_i.shape[1]
-
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """All twelve parameter blocks in a fixed, documented order."""
-        return (
-            self.Wx_i, self.Wx_f, self.Wx_o, self.Wx_g,
-            self.Wh_i, self.Wh_f, self.Wh_o, self.Wh_g,
-            self.b_i, self.b_f, self.b_o, self.b_g,
-        )
+        return self.wx.shape[0]
 
 
 @dataclass
@@ -102,8 +115,12 @@ class NetworkParams:
     """A stack of LSTM cells plus the linear output head.
 
     ``W_out`` has shape (hidden_size,) and ``b_out`` is a length-1 array
-    holding the scalar output bias (kept as an array so every parameter
-    of the network lives in a mutable numpy block).
+    holding the scalar output bias. Construction shallow-copies the cells
+    (the caller's keep their own arrays) and packs every parameter into
+    one float64 vector, ``flat``: each cell's ``wx``, ``wh`` and ``b`` in
+    layer order, then ``W_out`` and ``b_out``. Every block, packed or
+    per-gate, is a view of ``flat``, so one in-place update of ``flat``
+    (an optimizer step) reaches them all.
     """
 
     cells: list[CellParams]
@@ -126,6 +143,28 @@ class NetworkParams:
             )
         if self.b_out.shape != (1,):
             raise ShapeError(f"b_out must have shape (1,), got {self.b_out.shape}")
+        self._point_at(np.concatenate([a.ravel() for a in self._blocks()], dtype=np.float64))
+        if not np.isfinite(self.flat).all():
+            raise ValidationError("network parameters contain non-finite entries")
+
+    def _blocks(self) -> list[np.ndarray]:
+        """Every packed block in ``flat`` order."""
+        return [a for c in self.cells for a in (c.wx, c.wh, c.b)] + [self.W_out, self.b_out]
+
+    def _point_at(self, flat: np.ndarray) -> None:
+        """Copy the cells and make every block a view of its slice of ``flat``."""
+        self.cells = [copy.copy(cell) for cell in self.cells]
+        ends = np.cumsum([a.size for a in self._blocks()])
+        views = [flat[e - a.size : e].reshape(a.shape) for a, e in zip(self._blocks(), ends)]
+        for k, cell in enumerate(self.cells):
+            cell._point_at(*views[3 * k : 3 * k + 3])
+        self.W_out, self.b_out = views[-2:]
+        self.flat = flat
+
+    def __setstate__(self, state: dict) -> None:
+        # a copied or unpickled network re-points its blocks at its own flat
+        vars(self).update(state)
+        self._point_at(self.flat)
 
     @property
     def input_dim(self) -> int:
@@ -141,17 +180,12 @@ class NetworkParams:
 
 
 def parameter_arrays(net: NetworkParams) -> list[np.ndarray]:
-    """All parameter blocks of the network in a fixed canonical order."""
-    arrays: list[np.ndarray] = []
-    for cell in net.cells:
-        arrays.extend(cell.blocks())
-    arrays.append(net.W_out)
-    arrays.append(net.b_out)
-    return arrays
+    """All parameters of the network, as the single block ``net.flat``."""
+    return [net.flat]
 
 
 def parameter_count(net: NetworkParams) -> int:
-    return sum(a.size for a in parameter_arrays(net))
+    return net.flat.size
 
 
 def init_network(
@@ -198,17 +232,14 @@ def init_network(
 
 
 def zeros_like_params(net: NetworkParams) -> NetworkParams:
-    cells = [
-        CellParams(*[np.zeros_like(b) for b in cell.blocks()], check_finite=False)
-        for cell in net.cells
-    ]
-    return NetworkParams(
-        cells=cells, W_out=np.zeros_like(net.W_out), b_out=np.zeros_like(net.b_out)
-    )
+    """A container with ``net``'s layout over a zeroed ``flat``."""
+    zeros = NetworkParams.__new__(NetworkParams)
+    zeros.__setstate__({**vars(net), "flat": np.zeros_like(net.flat)})
+    return zeros
 
 
 def cell_forward(params: CellParams, x_t: np.ndarray, prev: CellState) -> CellState:
-    """Advance one cell by one time step (reference single-vector path)."""
+    """Advance one cell by one time step (the per-gate reference for the engine)."""
     x_t = np.asarray(x_t, dtype=np.float64)
     if x_t.shape != (params.input_size,):
         raise ShapeError(f"x_t must have shape {(params.input_size,)}, got {x_t.shape}")
@@ -247,23 +278,11 @@ class _LayerTape:
 class Tape:
     """Cached activations from one forward call, consumed by backward."""
 
-    net_id: int
+    net: NetworkParams
     batch_shape: tuple[int, int, int]
     layers: list[_LayerTape]
     h_last: np.ndarray
     preds: np.ndarray
-
-
-def _packed(cell: CellParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack the per-gate blocks into (in,4H), (H,4H), (4H,) operands."""
-    wx = np.ascontiguousarray(
-        np.concatenate([cell.Wx_i, cell.Wx_f, cell.Wx_o, cell.Wx_g], axis=0).T
-    )
-    wh = np.ascontiguousarray(
-        np.concatenate([cell.Wh_i, cell.Wh_f, cell.Wh_o, cell.Wh_g], axis=0).T
-    )
-    b = np.concatenate([cell.b_i, cell.b_f, cell.b_o, cell.b_g])
-    return wx, wh, b
 
 
 def forward_batch(net: NetworkParams, windows: np.ndarray) -> tuple[np.ndarray, Tape]:
@@ -281,10 +300,9 @@ def forward_batch(net: NetworkParams, windows: np.ndarray) -> tuple[np.ndarray, 
     inp = x
     for cell in net.cells:
         hid = cell.hidden_size
-        wx, wh, b = _packed(cell)
         # input projection for every step at once; recurrence stays sequential
-        ax = (inp.reshape(batch * steps, -1) @ wx).reshape(batch, steps, 4 * hid)
-        ax += b
+        ax = (inp.reshape(batch * steps, -1) @ cell.wx).reshape(batch, steps, 4 * hid)
+        ax += cell.b
         gates = np.empty((batch, steps, 4 * hid))
         c_seq = np.empty((batch, steps, hid))
         tanh_c = np.empty((batch, steps, hid))
@@ -292,7 +310,7 @@ def forward_batch(net: NetworkParams, windows: np.ndarray) -> tuple[np.ndarray, 
         h_prev = np.zeros((batch, hid))
         c_prev = np.zeros((batch, hid))
         for t in range(steps):
-            a = ax[:, t, :] + h_prev @ wh
+            a = ax[:, t, :] + h_prev @ cell.wh
             ifo = _sigmoid(a[:, : 3 * hid])
             g = np.tanh(a[:, 3 * hid :])
             c_t = ifo[:, hid : 2 * hid] * c_prev + ifo[:, :hid] * g
@@ -311,7 +329,7 @@ def forward_batch(net: NetworkParams, windows: np.ndarray) -> tuple[np.ndarray, 
     h_last = inp[:, -1, :]
     preds = h_last @ net.W_out + net.b_out[0]
     tape = Tape(
-        net_id=id(net),
+        net=net,
         batch_shape=(batch, steps, dim),
         layers=layers,
         h_last=h_last,
@@ -329,26 +347,22 @@ def backward_batch(
     container holds the sum over the batch of each window's gradient
     (the caller scales the seed to get means).
     """
-    if tape.net_id != id(net) or len(tape.layers) != len(net.cells):
+    if tape.net is not net or len(tape.layers) != len(net.cells):
         raise ValidationError("tape does not belong to this network")
     batch, steps, _ = tape.batch_shape
     d_preds = np.asarray(d_preds, dtype=np.float64)
     if d_preds.shape != (batch,):
         raise ShapeError(f"d_preds must have shape {(batch,)}, got {d_preds.shape}")
 
-    g_w_out = tape.h_last.T @ d_preds
-    g_b_out = np.array([d_preds.sum()])
+    grads = zeros_like_params(net)
+    np.matmul(tape.h_last.T, d_preds, out=grads.W_out)
+    grads.b_out[0] = d_preds.sum()
 
-    top_hid = net.cells[-1].hidden_size
-    d_h_seq = np.zeros((batch, steps, top_hid))
+    d_h_seq = np.zeros((batch, steps, net.hidden_size))
     d_h_seq[:, -1, :] = d_preds[:, None] * net.W_out[None, :]
 
-    grad_cells: list[CellParams | None] = [None] * len(net.cells)
-    for layer in range(len(net.cells) - 1, -1, -1):
-        cell = net.cells[layer]
-        lt = tape.layers[layer]
+    for cell, grad, lt in reversed(list(zip(net.cells, grads.cells, tape.layers))):
         hid = cell.hidden_size
-        wx, wh, _ = _packed(cell)
         gates = lt.gates
         d_a_seq = np.empty((batch, steps, 4 * hid))
         dh_carry = np.zeros((batch, hid))
@@ -367,33 +381,18 @@ def backward_batch(
             d_a_seq[:, t, hid : 2 * hid] = df * f * (1.0 - f)
             d_a_seq[:, t, 2 * hid : 3 * hid] = do * o * (1.0 - o)
             d_a_seq[:, t, 3 * hid :] = dc * i * (1.0 - g * g)
-            dh_carry = d_a_seq[:, t, :] @ wh.T
+            dh_carry = d_a_seq[:, t, :] @ cell.wh.T
             dc_carry = dc * f
         flat_in = lt.inputs.reshape(batch * steps, -1)
         flat_da = d_a_seq.reshape(batch * steps, 4 * hid)
-        d_wx = flat_in.T @ flat_da  # (in, 4H)
+        np.matmul(flat_in.T, flat_da, out=grad.wx)  # (in, 4H)
         h_prev_seq = np.concatenate(
             [np.zeros((batch, 1, hid)), lt.h[:, :-1, :]], axis=1
         )
-        d_wh = h_prev_seq.reshape(batch * steps, hid).T @ flat_da  # (H, 4H)
-        d_b = flat_da.sum(axis=0)
-        d_h_seq = (flat_da @ wx.T).reshape(batch, steps, -1)
-        grad_cells[layer] = CellParams(
-            Wx_i=np.ascontiguousarray(d_wx[:, :hid].T),
-            Wx_f=np.ascontiguousarray(d_wx[:, hid : 2 * hid].T),
-            Wx_o=np.ascontiguousarray(d_wx[:, 2 * hid : 3 * hid].T),
-            Wx_g=np.ascontiguousarray(d_wx[:, 3 * hid :].T),
-            Wh_i=np.ascontiguousarray(d_wh[:, :hid].T),
-            Wh_f=np.ascontiguousarray(d_wh[:, hid : 2 * hid].T),
-            Wh_o=np.ascontiguousarray(d_wh[:, 2 * hid : 3 * hid].T),
-            Wh_g=np.ascontiguousarray(d_wh[:, 3 * hid :].T),
-            b_i=d_b[:hid].copy(),
-            b_f=d_b[hid : 2 * hid].copy(),
-            b_o=d_b[2 * hid : 3 * hid].copy(),
-            b_g=d_b[3 * hid :].copy(),
-            check_finite=False,
-        )
-    return NetworkParams(cells=grad_cells, W_out=g_w_out, b_out=g_b_out)
+        np.matmul(h_prev_seq.reshape(batch * steps, hid).T, flat_da, out=grad.wh)
+        flat_da.sum(axis=0, out=grad.b)
+        d_h_seq = (flat_da @ cell.wx.T).reshape(batch, steps, -1)
+    return grads
 
 
 # --------------------------------------------------------------------------

@@ -100,6 +100,21 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _convert(mapping: dict, key: str, where: str, kind):
+    """``kind`` applied to a required field; a value it rejects is named."""
+    value = _require(mapping, key, where)
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(
+            f"model field '{where}.{key}' is malformed: {exc}", field=f"{where}.{key}"
+        ) from exc
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=np.float64)
+
+
 def load_model(path) -> TrainedModel:
     """Read a model JSON document back into a TrainedModel."""
     path = Path(path)
@@ -119,19 +134,24 @@ def load_model(path) -> TrainedModel:
     model_doc = _require(doc, "model", "")
     config = ModelConfig(
         name=_require(model_doc, "name", "model"),
-        neurons=int(_require(model_doc, "neurons", "model")),
-        hidden_layers=int(_require(model_doc, "hidden_layers", "model")),
-        lookback=int(_require(model_doc, "lookback", "model")),
+        neurons=_convert(model_doc, "neurons", "model", int),
+        hidden_layers=_convert(model_doc, "hidden_layers", "model", int),
+        lookback=_convert(model_doc, "lookback", "model", int),
     )
     norm_doc = _require(doc, "normalization", "")
     stats = NormStats(
-        mean_x=float(_require(norm_doc, "mean_x", "normalization")),
-        std_x=float(_require(norm_doc, "std_x", "normalization")),
-        mean_y=float(_require(norm_doc, "mean_y", "normalization")),
-        std_y=float(_require(norm_doc, "std_y", "normalization")),
+        mean_x=_convert(norm_doc, "mean_x", "normalization", float),
+        std_x=_convert(norm_doc, "std_x", "normalization", float),
+        mean_y=_convert(norm_doc, "mean_y", "normalization", float),
+        std_y=_convert(norm_doc, "std_y", "normalization", float),
     )
     params_doc = _require(doc, "parameters", "")
     cells_doc = _require(params_doc, "cells", "parameters")
+    if not isinstance(cells_doc, list):
+        raise ModelFormatError(
+            "model field 'parameters.cells' must be a list of cells",
+            field="parameters.cells",
+        )
     if len(cells_doc) != config.hidden_layers:
         raise ModelFormatError(
             f"model declares {config.hidden_layers} hidden layers but the file "
@@ -141,10 +161,7 @@ def load_model(path) -> TrainedModel:
     cells = []
     for index, cell_doc in enumerate(cells_doc):
         blocks = {
-            name: np.asarray(
-                _require(cell_doc, name, f"parameters.cells[{index}]"),
-                dtype=np.float64,
-            )
+            name: _convert(cell_doc, name, f"parameters.cells[{index}]", _float_array)
             for name in _GATE_BLOCKS
         }
         try:
@@ -154,12 +171,14 @@ def load_model(path) -> TrainedModel:
                 f"parameters.cells[{index}] is malformed: {exc}",
                 field=f"parameters.cells[{index}]",
             ) from exc
-    w_out = np.asarray(_require(params_doc, "W_out", "parameters"), dtype=np.float64)
-    b_out = np.array([float(_require(params_doc, "b_out", "parameters"))])
+    w_out = _convert(params_doc, "W_out", "parameters", _float_array)
+    b_out = np.array([_convert(params_doc, "b_out", "parameters", float)])
     try:
         net = NetworkParams(cells=cells, W_out=w_out, b_out=b_out)
     except ValidationError as exc:
-        raise ModelFormatError(f"parameters are inconsistent: {exc}") from exc
+        raise ModelFormatError(
+            f"parameters are malformed: {exc}", field="parameters"
+        ) from exc
     if net.hidden_size != config.neurons:
         raise ModelFormatError(
             f"model declares {config.neurons} neurons but weights are sized "

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -156,11 +156,7 @@ class BoucWenParams:
             raise ValidationError(f"substeps must be >= 1, got {self.substeps}")
 
     def with_substeps(self, substeps: int) -> "BoucWenParams":
-        return BoucWenParams(
-            k=self.k, alpha=self.alpha, A0=self.A0, beta=self.beta,
-            gamma=self.gamma, n=self.n, delta_nu=self.delta_nu,
-            delta_eta=self.delta_eta, asym=self.asym, substeps=substeps,
-        )
+        return replace(self, substeps=substeps)
 
 
 def specimen_a() -> BoucWenParams:

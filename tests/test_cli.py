@@ -263,6 +263,41 @@ class TestPredict:
         assert code == 2
         assert "model.name" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda doc: doc["model"].update(neurons="abc"), ["model.neurons"]),
+            (lambda doc: doc["parameters"].update(cells=5), ["parameters.cells"]),
+            # Wx_i 4 rows tall while every other block is 3 wide
+            (lambda doc: doc["parameters"]["cells"][0].update(Wx_i=[[0.1]] * 4),
+             ["Wx_i", "Wx_f"]),
+            (lambda doc: doc["parameters"]["W_out"].__setitem__(0, float("inf")),
+             ["non-finite"]),
+        ],
+        ids=["neurons-not-int", "cells-not-list", "wx-shape", "w-out-inf"],
+    )
+    def test_malformed_model_field(
+        self, tiny_config, tiny_cli_csv, tmp_path, capsys, mutate, named
+    ):
+        model_path = tmp_path / "m.json"
+        assert main(
+            ["train", "--config", tiny_config, "--data", str(tiny_cli_csv),
+             "--model", "small", "--out", str(model_path)]
+        ) == 0
+        doc = json.loads(model_path.read_text())
+        mutate(doc)
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "p.csv"
+        code = main(
+            ["predict", "--model", str(model_path), "--data", str(tiny_cli_csv),
+             "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert all(name in err for name in named), err
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
     def test_default_passes(self, capsys):

@@ -243,6 +243,32 @@ class TestNetworkParams:
             expected += neurons + 1
             assert lstm.parameter_count(net) == expected
 
+    def test_blocks_are_views_of_flat(self):
+        import copy
+        import dataclasses
+        import pickle
+
+        rng = np.random.default_rng(20)
+        net = lstm.init_network(4, 2, 1, rng=rng)
+        _, tape = lstm.forward_batch(net, rng.normal(size=(3, 5, 1)))
+        grads = lstm.backward_batch(net, tape, rng.normal(size=3))
+        clones = (copy.deepcopy(net), pickle.loads(pickle.dumps(net)))
+        for clone in clones:
+            np.testing.assert_array_equal(clone.flat, net.flat)
+        for params in (net, grads, *clones):
+            blocks = [params.W_out, params.b_out]
+            for cell in params.cells:
+                blocks += [getattr(cell, f.name) for f in dataclasses.fields(cell)]
+            for block in blocks:
+                assert np.shares_memory(block, params.flat)
+        assert not np.shares_memory(grads.flat, net.flat)
+        # a network built from another's cells copies them, re-pointing neither
+        before = net.flat.copy()
+        other = NetworkParams(cells=net.cells, W_out=net.W_out, b_out=net.b_out)
+        other.flat[:] = 0.0
+        np.testing.assert_array_equal(net.flat, before)
+        assert np.shares_memory(net.cells[0].Wh_f, net.flat)
+
     def test_forget_bias_initialized_high(self):
         net = lstm.init_network(4, 2, 1, rng=np.random.default_rng(19))
         for cell in net.cells:
