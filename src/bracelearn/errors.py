@@ -33,15 +33,20 @@ class DivergenceError(BraceLearnError, RuntimeError):
     """Numerical state blew up during integration or training.
 
     ``index`` is the sample index for simulator divergence, ``epoch`` the
-    epoch index for training divergence; ``last_loss`` is the last finite
-    training loss seen, if any.
+    epoch index for training divergence; ``losses`` holds the loss of
+    every epoch that finished before training diverged.
     """
 
-    def __init__(self, message, *, index=None, epoch=None, last_loss=None):
+    def __init__(self, message, *, index=None, epoch=None, losses=()):
         super().__init__(message)
         self.index = index
         self.epoch = epoch
-        self.last_loss = last_loss
+        self.losses = list(losses)
+
+    @property
+    def last_loss(self):
+        """The last finished epoch's loss, if any."""
+        return self.losses[-1] if self.losses else None
 
 
 class ModelFormatError(BraceLearnError, ValueError):

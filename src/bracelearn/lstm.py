@@ -14,6 +14,11 @@ Cell computation per step (sigma is the logistic function, * elementwise):
     g = tanh (Wx_g x + Wh_g h_prev + b_g)      candidate content
     c = f * c_prev + i * g                     long-term state
     h = o * tanh(c)                            short-term state
+
+``cell_forward`` evaluates these gate by gate for one cell and one step;
+it is the reference for the batched engine (``forward_batch``,
+``backward_batch``, ``predict``), one kernel over time-major
+(lookback, batch, .) arrays that keeps a tape for BPTT only when asked.
 """
 
 from __future__ import annotations
@@ -28,10 +33,14 @@ from .errors import NumericError, ShapeError, ValidationError
 _GATE_ORDER = ("i", "f", "o", "g")
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)), written into ``out`` (which may be ``x``) when given."""
     # exp may overflow for very negative inputs; the result (0.0) is still right
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        out = np.negative(x, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
 
 
 @dataclass
@@ -267,16 +276,28 @@ def cell_forward(params: CellParams, x_t: np.ndarray, prev: CellState) -> CellSt
 
 @dataclass
 class _LayerTape:
-    inputs: np.ndarray  # (B, T, in) what this layer consumed
-    gates: np.ndarray   # (B, T, 4H) post-activation i, f, o, g
-    c: np.ndarray       # (B, T, H)
-    tanh_c: np.ndarray  # (B, T, H)
-    h: np.ndarray       # (B, T, H)
+    """One layer's activations, time-major so every step's slice is contiguous.
+
+    Row 0 of ``c`` and ``h`` is the zero initial state, so row ``t`` is
+    the state step ``t`` starts from and row ``t + 1`` the one it ends in;
+    ``h[1:]`` is the layer's output sequence.
+    """
+
+    inputs: np.ndarray  # (T, B, in) what this layer consumed
+    gates: np.ndarray   # (T, B, 4H) post-activation i, f, o, g
+    c: np.ndarray       # (T + 1, B, H)
+    tanh_c: np.ndarray  # (T, B, H)
+    h: np.ndarray       # (T + 1, B, H)
 
 
 @dataclass
 class Tape:
-    """Cached activations from one forward call, consumed by backward."""
+    """Cached activations from one forward call, consumed by backward.
+
+    ``batch_shape`` is the (batch, lookback, input_dim) shape of the
+    windows; ``layers`` hold time-major sequences; ``h_last`` is the top
+    layer's final hidden state, (batch, H).
+    """
 
     net: NetworkParams
     batch_shape: tuple[int, int, int]
@@ -285,54 +306,81 @@ class Tape:
     preds: np.ndarray
 
 
-def forward_batch(net: NetworkParams, windows: np.ndarray) -> tuple[np.ndarray, Tape]:
-    """Run a batch of windows through the stack; returns (predictions, tape)."""
+def _windows(net: NetworkParams, windows: np.ndarray) -> np.ndarray:
+    """``windows`` as float64 (batch, lookback, input_dim), checked against ``net``."""
     x = np.asarray(windows, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeError(f"windows must be (batch, lookback, input_dim), got {x.shape}")
-    batch, steps, dim = x.shape
-    if steps < 1:
+    if x.shape[1] < 1:
         raise ShapeError("window must contain at least one step")
-    if dim != net.input_dim:
-        raise ShapeError(f"network expects input_dim {net.input_dim}, got {dim}")
+    if x.shape[2] != net.input_dim:
+        raise ShapeError(f"network expects input_dim {net.input_dim}, got {x.shape[2]}")
+    return x
 
+
+def _run(
+    net: NetworkParams, x: np.ndarray, keep_tape: bool
+) -> tuple[np.ndarray, list[_LayerTape]]:
+    """Step the stack over a batch of windows; returns (predictions, layer tapes).
+
+    The windows are transposed to time-major (T, B, in) and fed through
+    the layers in turn. With ``keep_tape`` every layer's activations are
+    returned for backward_batch; without, the list is empty and only the
+    current layer's input and output h sequences are alive at any time,
+    so peak memory is one layer of the batch rather than the whole stack.
+    """
+    inp = np.ascontiguousarray(x.transpose(1, 0, 2))
     layers: list[_LayerTape] = []
-    inp = x
     for cell in net.cells:
-        hid = cell.hidden_size
-        # input projection for every step at once; recurrence stays sequential
-        ax = (inp.reshape(batch * steps, -1) @ cell.wx).reshape(batch, steps, 4 * hid)
-        ax += cell.b
-        gates = np.empty((batch, steps, 4 * hid))
-        c_seq = np.empty((batch, steps, hid))
-        tanh_c = np.empty((batch, steps, hid))
-        h_seq = np.empty((batch, steps, hid))
-        h_prev = np.zeros((batch, hid))
-        c_prev = np.zeros((batch, hid))
-        for t in range(steps):
-            a = ax[:, t, :] + h_prev @ cell.wh
-            ifo = _sigmoid(a[:, : 3 * hid])
-            g = np.tanh(a[:, 3 * hid :])
-            c_t = ifo[:, hid : 2 * hid] * c_prev + ifo[:, :hid] * g
-            tc = np.tanh(c_t)
-            h_t = ifo[:, 2 * hid : 3 * hid] * tc
-            gates[:, t, : 3 * hid] = ifo
-            gates[:, t, 3 * hid :] = g
-            c_seq[:, t, :] = c_t
-            tanh_c[:, t, :] = tc
-            h_seq[:, t, :] = h_t
-            h_prev = h_t
-            c_prev = c_t
-        layers.append(_LayerTape(inputs=inp, gates=gates, c=c_seq, tanh_c=tanh_c, h=h_seq))
-        inp = h_seq
+        inp = _layer(cell, inp, layers if keep_tape else None)
+    return inp[-1] @ net.W_out + net.b_out[0], layers
 
-    h_last = inp[:, -1, :]
-    preds = h_last @ net.W_out + net.b_out[0]
+
+def _layer(cell: CellParams, inp: np.ndarray, tape: list[_LayerTape] | None) -> np.ndarray:
+    """Step one cell over time-major ``inp``; returns its h sequence (T, B, H).
+
+    The input projection of every step is one GEMM into a (T, B, 4H)
+    buffer; step ``t`` adds ``h_prev @ wh`` to its slice and overwrites it
+    in place with the gate activations. The layer's activations are
+    appended to ``tape`` unless it is None, in which case c and tanh(c)
+    roll over two rows and one row and the gate buffer is freed on return.
+    """
+    steps, batch, _ = inp.shape
+    hid = cell.hidden_size
+    gates = (inp.reshape(steps * batch, -1) @ cell.wx).reshape(steps, batch, 4 * hid)
+    gates += cell.b
+    h = np.zeros((steps + 1, batch, hid))
+    # with a tape, c[t] and c[t + 1] below; without, two rolling rows
+    c = np.zeros((steps + 1 if tape is not None else 2, batch, hid))
+    tanh_c = np.empty((steps if tape is not None else 1, batch, hid))
+    rec = np.empty((batch, 4 * hid))
+    ig = np.empty((batch, hid))
+    for t in range(steps):
+        a = gates[t]
+        a += np.matmul(h[t], cell.wh, out=rec)
+        ifo, g = a[:, : 3 * hid], a[:, 3 * hid :]
+        _sigmoid(ifo, out=ifo)
+        np.tanh(g, out=g)
+        c_t = c[(t + 1) % len(c)]
+        tc = tanh_c[t % len(tanh_c)]
+        np.multiply(ifo[:, hid : 2 * hid], c[t % len(c)], out=c_t)
+        c_t += np.multiply(ifo[:, :hid], g, out=ig)
+        np.tanh(c_t, out=tc)
+        np.multiply(ifo[:, 2 * hid :], tc, out=h[t + 1])
+    if tape is not None:
+        tape.append(_LayerTape(inputs=inp, gates=gates, c=c, tanh_c=tanh_c, h=h))
+    return h[1:]
+
+
+def forward_batch(net: NetworkParams, windows: np.ndarray) -> tuple[np.ndarray, Tape]:
+    """Run a batch of windows through the stack; returns (predictions, tape)."""
+    x = _windows(net, windows)
+    preds, layers = _run(net, x, keep_tape=True)
     tape = Tape(
         net=net,
-        batch_shape=(batch, steps, dim),
+        batch_shape=x.shape,
         layers=layers,
-        h_last=h_last,
+        h_last=layers[-1].h[-1],
         preds=preds,
     )
     return preds, tape
@@ -358,40 +406,37 @@ def backward_batch(
     np.matmul(tape.h_last.T, d_preds, out=grads.W_out)
     grads.b_out[0] = d_preds.sum()
 
-    d_h_seq = np.zeros((batch, steps, net.hidden_size))
-    d_h_seq[:, -1, :] = d_preds[:, None] * net.W_out[None, :]
+    # gradient of the loss with respect to each step's h, from the layer above
+    d_h = np.zeros((steps, batch, net.hidden_size))
+    d_h[-1] = d_preds[:, None] * net.W_out[None, :]
 
     for cell, grad, lt in reversed(list(zip(net.cells, grads.cells, tape.layers))):
         hid = cell.hidden_size
-        gates = lt.gates
-        d_a_seq = np.empty((batch, steps, 4 * hid))
+        d_a = np.empty((steps, batch, 4 * hid))
         dh_carry = np.zeros((batch, hid))
         dc_carry = np.zeros((batch, hid))
         for t in range(steps - 1, -1, -1):
-            dh = d_h_seq[:, t, :] + dh_carry
-            i = gates[:, t, :hid]
-            f = gates[:, t, hid : 2 * hid]
-            o = gates[:, t, 2 * hid : 3 * hid]
-            g = gates[:, t, 3 * hid :]
-            tc = lt.tanh_c[:, t, :]
+            ifo, g = lt.gates[t, :, : 3 * hid], lt.gates[t, :, 3 * hid :]
+            i, f, o = ifo[:, :hid], ifo[:, hid : 2 * hid], ifo[:, 2 * hid :]
+            tc = lt.tanh_c[t]
+            da = d_a[t]
+            dh = d_h[t]
+            dh += dh_carry
             dc = dh * o * (1.0 - tc * tc) + dc_carry
-            do = dh * tc
-            df = dc * lt.c[:, t - 1, :] if t > 0 else np.zeros_like(dc)
-            d_a_seq[:, t, :hid] = dc * g * i * (1.0 - i)
-            d_a_seq[:, t, hid : 2 * hid] = df * f * (1.0 - f)
-            d_a_seq[:, t, 2 * hid : 3 * hid] = do * o * (1.0 - o)
-            d_a_seq[:, t, 3 * hid :] = dc * i * (1.0 - g * g)
-            dh_carry = d_a_seq[:, t, :] @ cell.wh.T
-            dc_carry = dc * f
-        flat_in = lt.inputs.reshape(batch * steps, -1)
-        flat_da = d_a_seq.reshape(batch * steps, 4 * hid)
-        np.matmul(flat_in.T, flat_da, out=grad.wx)  # (in, 4H)
-        h_prev_seq = np.concatenate(
-            [np.zeros((batch, 1, hid)), lt.h[:, :-1, :]], axis=1
-        )
-        np.matmul(h_prev_seq.reshape(batch * steps, hid).T, flat_da, out=grad.wh)
+            np.multiply(dc, g, out=da[:, :hid])
+            np.multiply(dc, lt.c[t], out=da[:, hid : 2 * hid])
+            np.multiply(dh, tc, out=da[:, 2 * hid : 3 * hid])
+            da[:, : 3 * hid] *= ifo
+            da[:, : 3 * hid] *= 1.0 - ifo
+            np.multiply(dc, i, out=da[:, 3 * hid :])
+            da[:, 3 * hid :] *= 1.0 - g * g
+            np.matmul(da, cell.wh.T, out=dh_carry)
+            np.multiply(dc, f, out=dc_carry)
+        flat_da = d_a.reshape(steps * batch, 4 * hid)
+        np.matmul(lt.inputs.reshape(steps * batch, -1).T, flat_da, out=grad.wx)
+        np.matmul(lt.h[:-1].reshape(steps * batch, hid).T, flat_da, out=grad.wh)
         flat_da.sum(axis=0, out=grad.b)
-        d_h_seq = (flat_da @ cell.wx.T).reshape(batch, steps, -1)
+        d_h = (flat_da @ cell.wx.T).reshape(steps, batch, -1)
     return grads
 
 
@@ -419,13 +464,17 @@ def backward(net: NetworkParams, tape: Tape, d_prediction: float) -> NetworkPara
 
 
 def predict(net: NetworkParams, windows: np.ndarray, chunk_size: int = 1024) -> np.ndarray:
-    """Forward-only predictions for many windows, processed in chunks."""
-    x = np.asarray(windows, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeError(f"windows must be (batch, lookback, input_dim), got {x.shape}")
+    """Forward-only predictions for many windows, processed in chunks.
+
+    No tape is kept, so peak memory is about one layer's gate buffer for
+    one chunk, (lookback, chunk_size, 4H) float64.
+    """
+    x = _windows(net, windows)
+    if chunk_size < 1:
+        raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
     out = np.empty(len(x))
     for start in range(0, len(x), chunk_size):
-        preds, _ = forward_batch(net, x[start : start + chunk_size])
+        preds, _ = _run(net, x[start : start + chunk_size], keep_tape=False)
         out[start : start + len(preds)] = preds
     return out
 

@@ -111,6 +111,15 @@ def _convert(mapping: dict, key: str, where: str, kind):
         ) from exc
 
 
+def _integer(value) -> int:
+    """A JSON integer; a bool or a non-integral number is rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def _float_array(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
 
@@ -134,9 +143,9 @@ def load_model(path) -> TrainedModel:
     model_doc = _require(doc, "model", "")
     config = ModelConfig(
         name=_require(model_doc, "name", "model"),
-        neurons=_convert(model_doc, "neurons", "model", int),
-        hidden_layers=_convert(model_doc, "hidden_layers", "model", int),
-        lookback=_convert(model_doc, "lookback", "model", int),
+        neurons=_convert(model_doc, "neurons", "model", _integer),
+        hidden_layers=_convert(model_doc, "hidden_layers", "model", _integer),
+        lookback=_convert(model_doc, "lookback", "model", _integer),
     )
     norm_doc = _require(doc, "normalization", "")
     stats = NormStats(

@@ -301,7 +301,11 @@ def write_csv(path, disp: Series, force: Series) -> None:
 
 
 def read_csv(path) -> tuple[Series, Series]:
-    """Read a ``t,displacement,force`` CSV back into a series pair."""
+    """Read a ``t,displacement,force`` CSV back into a series pair.
+
+    A row with the wrong number of fields, a non-numeric cell or a
+    non-finite value raises ValidationError naming the file and line.
+    """
     path = Path(path)
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -310,7 +314,17 @@ def read_csv(path) -> tuple[Series, Series]:
             raise ValidationError(
                 f"{path}: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
             )
-        rows = [(float(t), float(d), float(f)) for t, d, f in reader]
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                values = [float(cell) for cell in row]  # float's error names the bad cell
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"non-finite value in {row}")
+            except ValueError as exc:
+                raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from None
+            rows.append(values)
     if len(rows) < 2:
         raise ValidationError(f"{path}: need at least 2 data rows, got {len(rows)}")
     t = np.array([r[0] for r in rows])

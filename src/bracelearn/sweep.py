@@ -166,6 +166,7 @@ def run_sweep(
             )
         except DivergenceError as exc:
             partial = TrainReport(
+                losses=exc.losses,
                 epochs_run=exc.epoch if exc.epoch is not None else 0,
                 seed=derive_seed(cfg.seed, config.name),
             )

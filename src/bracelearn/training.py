@@ -200,7 +200,7 @@ def train(
                 raise DivergenceError(
                     f"training loss became non-finite at epoch {epoch}",
                     epoch=epoch,
-                    last_loss=losses[-1] if losses else None,
+                    losses=losses,
                 )
             accumulated += batch_loss * len(idx)
             grads = backward_batch(net, tape, (2.0 / len(idx)) * residual)

@@ -267,6 +267,9 @@ class TestPredict:
         "mutate, named",
         [
             (lambda doc: doc["model"].update(neurons="abc"), ["model.neurons"]),
+            (lambda doc: doc["model"].update(neurons=3.5), ["model.neurons"]),
+            (lambda doc: doc["model"].update(hidden_layers=True), ["model.hidden_layers"]),
+            (lambda doc: doc["model"].update(lookback=6.9), ["model.lookback"]),
             (lambda doc: doc["parameters"].update(cells=5), ["parameters.cells"]),
             # Wx_i 4 rows tall while every other block is 3 wide
             (lambda doc: doc["parameters"]["cells"][0].update(Wx_i=[[0.1]] * 4),
@@ -274,7 +277,8 @@ class TestPredict:
             (lambda doc: doc["parameters"]["W_out"].__setitem__(0, float("inf")),
              ["non-finite"]),
         ],
-        ids=["neurons-not-int", "cells-not-list", "wx-shape", "w-out-inf"],
+        ids=["neurons-not-int", "neurons-fraction", "layers-bool", "lookback-fraction",
+             "cells-not-list", "wx-shape", "w-out-inf"],
     )
     def test_malformed_model_field(
         self, tiny_config, tiny_cli_csv, tmp_path, capsys, mutate, named

@@ -154,6 +154,39 @@ class TestForward:
             single, _ = lstm.forward(net, windows[w])
             assert preds[w] == pytest.approx(single, abs=1e-12)
 
+    def test_predict_chunks_equal_forward_batch(self):
+        # the tapeless pass runs the same arithmetic as the taped one
+        rng = np.random.default_rng(21)
+        net = lstm.init_network(5, 3, 1, rng=rng)
+        windows = rng.normal(size=(23, 7, 1))
+        preds = lstm.predict(net, windows, chunk_size=5)
+        expected = np.concatenate(
+            [lstm.forward_batch(net, windows[s : s + 5])[0] for s in range(0, 23, 5)]
+        )
+        np.testing.assert_array_equal(preds, expected)
+
+    def test_predict_memory_is_one_layer(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(22)
+        net = lstm.init_network(8, 4, 1, rng=rng)
+        steps, chunk = 30, 64
+        windows = rng.normal(size=(3 * chunk, steps, 1))
+        gate_bytes = steps * chunk * 4 * net.hidden_size * 8  # one (T, B, 4H) buffer
+        tracemalloc.start()
+        try:
+            lstm.predict(net, windows, chunk_size=chunk)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * gate_bytes
+
+    @pytest.mark.parametrize("chunk_size", [0, -3])
+    def test_predict_rejects_chunk_size_below_one(self, chunk_size):
+        net = lstm.init_network(4, 1, 1, rng=np.random.default_rng(23))
+        with pytest.raises(ValidationError, match="chunk_size"):
+            lstm.predict(net, np.zeros((4, 3, 1)), chunk_size=chunk_size)
+
 
 class TestBackward:
     def test_zero_seed_gives_zero_gradients(self):

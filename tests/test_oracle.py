@@ -238,3 +238,27 @@ class TestCsv:
         path.write_text("time,disp,force\n0,0,0\n1,1,1\n")
         with pytest.raises(ValidationError, match="header"):
             oracle.read_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,1", "expected 3 fields, got 2"),
+            ("1,1,1,1", "expected 3 fields, got 4"),
+            ("1,abc,1", "could not convert string to float: 'abc'"),
+            ("1,nan,1", "non-finite"),
+            ("1,1,inf", "non-finite"),
+        ],
+        ids=["short-row", "long-row", "non-numeric", "nan", "inf"],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, capsys, row, message):
+        from bracelearn.cli import main
+
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t,displacement,force\n0,0,0\n{row}\n2,2,2\n")
+        with pytest.raises(ValidationError, match=f"bad.csv, line 3: {message}"):
+            oracle.read_csv(path)
+        # the CLI reports it as a data error, not a traceback
+        out = tmp_path / "m.json"
+        code = main(["train", "--data", str(path), "--model", "Model 1", "--out", str(out)])
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err

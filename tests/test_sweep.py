@@ -79,7 +79,8 @@ class TestRunSweep:
         assert first.to_json() == second.to_json()
 
     def test_diverged_entry_recorded_not_fatal(self, tiny_csv, monkeypatch):
-        from bracelearn.errors import DivergenceError
+        import dataclasses
+        import math
 
         calls = []
         real_fit = sweep.fit_model
@@ -87,7 +88,11 @@ class TestRunSweep:
         def fake_fit(disp, force, config, cfg):
             calls.append(config.name)
             if config.name == "explodes":
-                raise DivergenceError("training loss became non-finite at epoch 1", epoch=1)
+                # one batch per epoch: epoch 0 finishes, then the huge step
+                # overflows the loss of epoch 1
+                cfg = dataclasses.replace(
+                    cfg, learning_rate=1e200, clip_norm=0.0, batch_size=10**6
+                )
             return real_fit(disp, force, config, cfg)
 
         monkeypatch.setattr(sweep, "fit_model", fake_fit)
@@ -97,6 +102,10 @@ class TestRunSweep:
         failed = report.entry("explodes")
         assert failed.failed
         assert failed.to_dict()["test_nrmse"] == "diverged"
+        assert "epoch 1" in failed.error
+        # the partial report keeps the loss curve of the epochs that finished
+        assert failed.report.epochs_run == 1
+        assert len(failed.report.losses) == 1 and math.isfinite(failed.report.losses[0])
         assert report.best_model == "fine"
 
 
