@@ -20,8 +20,8 @@ import numpy as np
 import yaml
 
 from . import lstm, oracle, sweep as sweep_mod
-from .errors import ConfigError, DivergenceError, ModelFormatError, ValidationError
-from .model import ModelConfig, load_model, save_model
+from .errors import ConfigError, DivergenceError, ValidationError
+from .model import ModelConfig, load_fields, load_model, save_model
 from .oracle import BoucWenParams, LoadingProtocol
 from .sweep import DEFAULT_GRID, fit_model
 from .training import TrainConfig
@@ -37,72 +37,60 @@ class ExperimentConfig:
     grid: tuple[ModelConfig, ...]
 
 
-def _section(doc: dict, name: str, cls, path: str) -> dict:
-    raw = doc.pop(name, {})
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: section '{name}' must be a mapping")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(
-            f"{path}: unknown config key '{name}.{sorted(unknown)[0]}'"
-        )
-    return raw
+#: The config sections that hold one dataclass each; ``grid`` is a list.
+_SECTIONS = {"oracle": BoucWenParams, "protocol": LoadingProtocol, "training": TrainConfig}
 
 
 def load_config(path=None) -> ExperimentConfig:
-    """Parse the YAML experiment config; unknown keys are rejected."""
+    """Parse the YAML experiment config, each section through ``load_fields``.
+
+    A missing or ``null`` section means its defaults; grid names must have
+    distinct file slugs. Any malformed input raises ConfigError.
+    """
     if path is None:
         doc = {}
     else:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        with open(path) as handle:
-            doc = yaml.safe_load(handle)
+        with open(path, "rb") as handle:  # so yaml reports a bad byte as YAMLError
+            try:
+                doc = yaml.safe_load(handle)
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"{path} is not valid YAML: {exc}") from None
         if doc is None:
             doc = {}
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a mapping of sections")
 
     label = str(path) if path is not None else "<defaults>"
-    oracle_raw = _section(doc, "oracle", BoucWenParams, label)
-    protocol_raw = _section(doc, "protocol", LoadingProtocol, label)
-    training_raw = _section(doc, "training", TrainConfig, label)
-    grid_raw = doc.pop("grid", None)
-    if doc:
-        raise ConfigError(f"{label}: unknown config section '{sorted(doc)[0]}'")
-
-    if "amplitude_factors" in protocol_raw:
-        protocol_raw["amplitude_factors"] = tuple(protocol_raw["amplitude_factors"])
+    unknown = [name for name in doc if name != "grid" and name not in _SECTIONS]
+    if unknown:
+        raise ConfigError(f"{label}: unknown config section '{unknown[0]}'")
+    sections = {
+        name: load_fields(cls, {} if doc.get(name) is None else doc[name], name, ConfigError)
+        for name, cls in _SECTIONS.items()
+    }
+    grid_raw = doc.get("grid")
     if grid_raw is None:
         grid = DEFAULT_GRID
+    elif not isinstance(grid_raw, list) or not grid_raw:
+        raise ConfigError(f"{label}: 'grid' must be a non-empty list of models")
     else:
-        if not isinstance(grid_raw, list) or not grid_raw:
-            raise ConfigError(f"{label}: 'grid' must be a non-empty list of models")
-        entries = []
-        for index, item in enumerate(grid_raw):
-            if not isinstance(item, dict):
-                raise ConfigError(f"{label}: grid[{index}] must be a mapping")
-            unknown = set(item) - {"name", "neurons", "hidden_layers", "lookback"}
-            if unknown:
-                raise ConfigError(
-                    f"{label}: unknown config key 'grid[{index}].{sorted(unknown)[0]}'"
-                )
-            entries.append(ModelConfig(**item))
-        grid = tuple(entries)
-
-    try:
-        return ExperimentConfig(
-            oracle=BoucWenParams(**oracle_raw),
-            protocol=LoadingProtocol(**protocol_raw),
-            training=TrainConfig(**training_raw),
-            grid=grid,
+        grid = tuple(
+            load_fields(ModelConfig, item, f"grid[{index}]", ConfigError)
+            for index, item in enumerate(grid_raw)
         )
-    except TypeError as exc:
-        raise ConfigError(f"{label}: {exc}") from exc
+    slugs = [_slug(config.name) for config in grid]
+    for index, slug in enumerate(slugs):
+        if slug in slugs[:index]:
+            first = slugs.index(slug)
+            raise ConfigError(
+                f"{label}: grid[{first}] {grid[first].name!r} and grid[{index}] "
+                f"{grid[index].name!r} would both write the files of slug {slug!r}",
+                field=f"grid[{index}].name",
+            )
+    return ExperimentConfig(grid=grid, **sections)
 
 
 def _slug(name: str) -> str:
@@ -311,10 +299,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ModelFormatError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

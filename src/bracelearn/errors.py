@@ -6,7 +6,11 @@ class BraceLearnError(Exception):
 
 
 class ValidationError(BraceLearnError, ValueError):
-    """An input value or combination of values violates a precondition."""
+    """An input value violates a precondition; ``field`` is its dotted path, if known."""
+
+    def __init__(self, message, *, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class ShapeError(ValidationError):
@@ -43,15 +47,6 @@ class DivergenceError(BraceLearnError, RuntimeError):
         self.epoch = epoch
         self.losses = list(losses)
 
-    @property
-    def last_loss(self):
-        """The last finished epoch's loss, if any."""
-        return self.losses[-1] if self.losses else None
 
-
-class ModelFormatError(BraceLearnError, ValueError):
+class ModelFormatError(ValidationError):
     """A serialized model file is missing or has a malformed field."""
-
-    def __init__(self, message, *, field=None):
-        super().__init__(message)
-        self.field = field

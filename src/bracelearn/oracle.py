@@ -303,11 +303,14 @@ def write_csv(path, disp: Series, force: Series) -> None:
 def read_csv(path) -> tuple[Series, Series]:
     """Read a ``t,displacement,force`` CSV back into a series pair.
 
-    A row with the wrong number of fields, a non-numeric cell or a
-    non-finite value raises ValidationError naming the file and line.
+    A row with the wrong number of fields, a non-numeric cell, a
+    non-finite value or a ``t`` off the uniform grid from the first to the
+    last row (by more than 1e-6 of the step) raises ValidationError naming
+    the file and line. ``dt`` is the first step, ``t[1] - t[0]``.
     """
     path = Path(path)
-    with open(path, newline="") as handle:
+    # an undecodable byte becomes U+FFFD, which the row checks then reject
+    with open(path, newline="", errors="replace") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or tuple(header) != CSV_HEADER:
@@ -328,6 +331,16 @@ def read_csv(path) -> tuple[Series, Series]:
     if len(rows) < 2:
         raise ValidationError(f"{path}: need at least 2 data rows, got {len(rows)}")
     t = np.array([r[0] for r in rows])
+    # a uniform column is t0 + i*step; the first row off that grid is named
+    step = float(t[-1] - t[0]) / (len(t) - 1)
+    grid = t[0] + np.arange(len(t)) * step
+    off = np.flatnonzero(np.abs(t - grid) > 1e-6 * abs(step))
+    if off.size:
+        row = int(off[0])
+        raise ValidationError(
+            f"{path}, line {row + 2}: non-uniform t column: t = {float(t[row])!r}, "
+            f"but a uniform step of {step!r} puts it at {float(grid[row])!r}"
+        )
     dt = float(t[1] - t[0])
     disp = Series(dt=dt, values=np.array([r[1] for r in rows]), unit=DISPLACEMENT)
     force = Series(dt=dt, values=np.array([r[2] for r in rows]), unit=FORCE)

@@ -2,13 +2,20 @@
 
 import csv
 import json
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bracelearn import oracle
+from bracelearn import lstm, oracle
 from bracelearn.cli import load_config, main
+from bracelearn.dataset import NormStats
 from bracelearn.errors import ConfigError
+from bracelearn.model import ModelConfig, TrainedModel, save_model
 
 TINY_PROTOCOL = {
     "delta_y": 0.1,
@@ -120,6 +127,65 @@ class TestStrictConfig:
         config = load_config(None)
         assert len(config.grid) == 7
         assert config.protocol.points_per_cycle == 200
+
+    @pytest.mark.parametrize(
+        "mutate, field",
+        [
+            (lambda c: c["grid"][0].pop("lookback"), "grid[0].lookback"),
+            (lambda c: c["grid"][0].update(neurons="abc"), "grid[0].neurons"),
+            (lambda c: c["grid"][0].update(neurons=2.5), "grid[0].neurons"),
+            (lambda c: c["grid"][1].update(name=3), "grid[1].name"),
+            (lambda c: c["training"].update(batch_size=1.5), "training.batch_size"),
+            (lambda c: c["training"].update(max_epochs=1.5), "training.max_epochs"),
+            (lambda c: c["oracle"].update(substeps=2.5), "oracle.substeps"),
+            (lambda c: c["protocol"].update(cycles_per_amplitude=1.5),
+             "protocol.cycles_per_amplitude"),
+            (lambda c: c["training"].update(seed=1.5), "training.seed"),
+            (lambda c: c["training"].update(clip_norm=math.nan), "training.clip_norm"),
+            (lambda c: c["protocol"].update(points_per_cycle=20.5),
+             "protocol.points_per_cycle"),
+            (lambda c: c["oracle"].update(delta_nu=math.nan), "oracle.delta_nu"),
+            # safe_dump writes this string as a plain `1e-3`, which YAML 1.1
+            # reads back as a string
+            (lambda c: c["training"].update(learning_rate="1e-3"), "training.learning_rate"),
+        ],
+        ids=["grid-missing-lookback", "neurons-string", "neurons-fraction", "name-int",
+             "batch-size-fraction", "max-epochs-fraction", "substeps-fraction",
+             "cycles-fraction", "seed-fraction", "clip-norm-nan", "points-fraction",
+             "delta-nu-nan", "learning-rate-string"],
+    )
+    def test_malformed_field_exits_2(
+        self, tiny_config, tiny_cli_csv, tmp_path, capsys, mutate, field
+    ):
+        sections = yaml.safe_load(Path(tiny_config).read_text())
+        mutate(sections)
+        config = write_config(tmp_path / "bad.yaml", **sections)
+        capsys.readouterr()
+        out = tmp_path / "m.json"
+        code = main(
+            ["train", "--config", config, "--data", str(tiny_cli_csv),
+             "--model", "small", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert field in err, err
+        assert not out.exists() and not (tmp_path / "m.report.json").exists()
+
+    def test_colliding_grid_slugs_rejected(self, tmp_path):
+        # both would be written as model_m-a.json, predictions_m-a.csv, ...
+        config = write_config(
+            tmp_path / "c.yaml",
+            grid=[
+                {"name": "m a", "neurons": 2, "hidden_layers": 1, "lookback": 2},
+                {"name": "M-A", "neurons": 3, "hidden_layers": 1, "lookback": 2},
+            ],
+        )
+        with pytest.raises(ConfigError, match="'m a'.*'M-A'"):
+            load_config(config)
+
+    def test_null_section_means_defaults(self, tmp_path):
+        config = load_config(write_config(tmp_path / "c.yaml", training=None))
+        assert config.training.batch_size == 64
 
 
 class TestTrain:
@@ -276,9 +342,10 @@ class TestPredict:
              ["Wx_i", "Wx_f"]),
             (lambda doc: doc["parameters"]["W_out"].__setitem__(0, float("inf")),
              ["non-finite"]),
+            (lambda doc: doc["model"].update(nuerons=3), ["model.nuerons"]),
         ],
         ids=["neurons-not-int", "neurons-fraction", "layers-bool", "lookback-fraction",
-             "cells-not-list", "wx-shape", "w-out-inf"],
+             "cells-not-list", "wx-shape", "w-out-inf", "unknown-model-key"],
     )
     def test_malformed_model_field(
         self, tiny_config, tiny_cli_csv, tmp_path, capsys, mutate, named
@@ -326,3 +393,94 @@ class TestGradcheckCommand:
             ["train", "--config", config, "--data", str(tiny_cli_csv),
              "--model", "Model3d", "--out", str(tmp_path / "m.json")]
         ) == 0
+
+
+#: Values that are never a valid field of their kind, or only a small one.
+MALFORMED = st.one_of(
+    st.booleans(),
+    st.text(max_size=4),
+    st.floats(min_value=-10, max_value=10).filter(lambda x: not x.is_integer()),
+    st.sampled_from([math.nan, math.inf, -math.inf, None]),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "name"]), st.integers(-2, 2), max_size=2),
+)
+
+
+def _field_paths(node, prefix=()):
+    """Every mapping key, and every mapping inside a list, below ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list) and node and isinstance(node[0], dict):
+        items = enumerate(node)
+    else:
+        return []
+    paths = []
+    for key, child in items:
+        paths.append(prefix + (key,))
+        paths.extend(_field_paths(child, prefix + (key,)))
+    return paths
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+FUZZ_CONFIG = {
+    "protocol": dict(TINY_PROTOCOL, dt=0.01),
+    "oracle": {"substeps": 2, "delta_nu": 0.1},
+    "training": {"max_epochs": 2, "seed": 0, "learning_rate": 0.001},
+    "grid": [{"name": "small", "neurons": 3, "hidden_layers": 1, "lookback": 6}],
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A valid tiny model file, its document, and a data CSV it can read."""
+    root = tmp_path_factory.mktemp("fuzz")
+    protocol = oracle.LoadingProtocol(
+        amplitude_factors=(1.0, 2.0), cycles_per_amplitude=1, points_per_cycle=20
+    )
+    disp = oracle.generate_protocol(protocol)
+    oracle.write_csv(root / "data.csv", disp, oracle.simulate(oracle.BoucWenParams(), disp))
+    net = lstm.init_network(3, 2, 1, rng=np.random.default_rng(0))
+    stats = NormStats(mean_x=0.0, std_x=0.1, mean_y=0.0, std_y=1.0)
+    save_model(root / "model.json",
+               TrainedModel(net=net, config=ModelConfig("fuzz", 3, 2, 4), stats=stats))
+    return root, json.loads((root / "model.json").read_text())
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_load_config_returns_or_raises_config_error(self, tmp_path_factory, data):
+        path = data.draw(st.sampled_from(_field_paths(FUZZ_CONFIG)))
+        doc = _replaced(FUZZ_CONFIG, path, data.draw(MALFORMED))
+        config = tmp_path_factory.getbasetemp() / "fuzz_config.yaml"
+        config.write_text(yaml.safe_dump(doc))
+        try:
+            load_config(config)
+        except ConfigError:
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_predict_exits_0_or_2(self, fuzz_files, data):
+        root, valid = fuzz_files
+        path = data.draw(st.sampled_from(_field_paths(valid)))
+        (root / "bad.json").write_text(json.dumps(_replaced(valid, path, data.draw(MALFORMED))))
+        out = root / "pred.csv"
+        out.unlink(missing_ok=True)
+        code = main(["predict", "--model", str(root / "bad.json"),
+                     "--data", str(root / "data.csv"), "--out", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+        else:
+            with open(out) as handle:
+                preds = [row["force_pred"] for row in csv.DictReader(handle)]
+            assert all(math.isfinite(float(p)) for p in preds if p)

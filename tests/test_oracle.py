@@ -247,8 +247,9 @@ class TestCsv:
             ("1,abc,1", "could not convert string to float: 'abc'"),
             ("1,nan,1", "non-finite"),
             ("1,1,inf", "non-finite"),
+            ("1.5,1,1", "non-uniform t column"),
         ],
-        ids=["short-row", "long-row", "non-numeric", "nan", "inf"],
+        ids=["short-row", "long-row", "non-numeric", "nan", "inf", "non-uniform-t"],
     )
     def test_bad_row_names_file_and_line(self, tmp_path, capsys, row, message):
         from bracelearn.cli import main
