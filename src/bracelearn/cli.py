@@ -44,8 +44,9 @@ _SECTIONS = {"oracle": BoucWenParams, "protocol": LoadingProtocol, "training": T
 def load_config(path=None) -> ExperimentConfig:
     """Parse the YAML experiment config, each section through ``load_fields``.
 
-    A missing or ``null`` section means its defaults; grid names must have
-    distinct file slugs. Any malformed input raises ConfigError.
+    A missing or ``null`` section means its defaults; grid names must be
+    plain file names with distinct ``_key``s, so ``--model`` picks exactly
+    one. Any malformed input raises ConfigError.
     """
     if path is None:
         doc = {}
@@ -56,7 +57,7 @@ def load_config(path=None) -> ExperimentConfig:
         with open(path, "rb") as handle:  # so yaml reports a bad byte as YAMLError
             try:
                 doc = yaml.safe_load(handle)
-            except yaml.YAMLError as exc:
+            except (yaml.YAMLError, RecursionError) as exc:  # deep nesting recurses
                 raise ConfigError(f"{path} is not valid YAML: {exc}") from None
         if doc is None:
             doc = {}
@@ -81,14 +82,18 @@ def load_config(path=None) -> ExperimentConfig:
             load_fields(ModelConfig, item, f"grid[{index}]", ConfigError)
             for index, item in enumerate(grid_raw)
         )
-    slugs = [_slug(config.name) for config in grid]
-    for index, slug in enumerate(slugs):
-        if slug in slugs[:index]:
-            first = slugs.index(slug)
+    keys = [_key(config.name) for config in grid]
+    for index, (config, key) in enumerate(zip(grid, keys)):
+        where = f"grid[{index}].name"
+        if any(char in config.name for char in "/\\\0"):
+            message = f"{config.name!r} must be a plain file name, without '/', '\\' or NUL"
+            raise ConfigError(f"{label}: {where} {message}", field=where)
+        if key in keys[:index]:
+            first = keys.index(key)
             raise ConfigError(
-                f"{label}: grid[{first}] {grid[first].name!r} and grid[{index}] "
-                f"{grid[index].name!r} would both write the files of slug {slug!r}",
-                field=f"grid[{index}].name",
+                f"{label}: grid[{first}] {grid[first].name!r} and {where} {config.name!r} "
+                f"are ambiguous: both read as {key!r}",
+                field=where,
             )
     return ExperimentConfig(grid=grid, **sections)
 
@@ -97,10 +102,14 @@ def _slug(name: str) -> str:
     return name.lower().replace(" ", "-")
 
 
+def _key(name: str) -> str:
+    """What ``--model`` matches: the slug without dashes ('Model3a' is 'Model 3a')."""
+    return _slug(name).replace("-", "")
+
+
 def _find_model(grid, name: str) -> ModelConfig:
-    wanted = _slug(name).replace("-", "")
     for config in grid:
-        if _slug(config.name).replace("-", "") == wanted:
+        if _key(config.name) == _key(name):
             return config
     names = ", ".join(repr(c.name) for c in grid)
     raise ConfigError(f"unknown model {name!r}; valid names: {names}")
@@ -201,7 +210,8 @@ def cmd_sweep(args) -> int:
         if entry.model is not None:
             save_model(out_dir / f"model_{slug}.json", entry.model)
             sweep_mod.emit_predictions(
-                entry.model, data, out_dir / f"predictions_{slug}.csv"
+                entry.model, *report.record, entry.report.predictions,
+                out_dir / f"predictions_{slug}.csv",
             )
     for entry in report.entries:
         status = (
@@ -221,7 +231,9 @@ def cmd_predict(args) -> int:
     _check_input(Path(args.model))
     _check_parent(out)
     model = load_model(args.model)
-    sweep_mod.emit_predictions(model, data, out)
+    disp, force = oracle.read_csv(data)
+    windows = sweep_mod.window(disp, force, model.stats, model.config.lookback)
+    sweep_mod.emit_predictions(model, disp, force, sweep_mod.predict_record(model, windows), out)
     print(f"wrote {out}")
     return 0
 

@@ -82,8 +82,13 @@ def _check_pair(x: Series, y: Series) -> None:
         raise ValidationError(f"series dt mismatch: {x.dt} vs {y.dt}")
 
 
+def split_point(n: int) -> int:
+    """Index of the first held-out sample of an n-sample record: ceil(n/2)."""
+    return (n + 1) // 2
+
+
 def split_half(x: Series, y: Series):
-    """Split both series at the midpoint: first ceil(N/2) samples train.
+    """Split both series at ``split_point``: the first ceil(N/2) samples train.
 
     Returns ((train_x, train_y), (test_x, test_y)); order is preserved and
     nothing is shuffled.
@@ -92,7 +97,7 @@ def split_half(x: Series, y: Series):
     n = len(x)
     if n < 4:
         raise ValidationError(f"need at least 4 samples to split, got {n}")
-    cut = (n + 1) // 2
+    cut = split_point(n)
     train = (
         Series(dt=x.dt, values=x.values[:cut], unit=x.unit),
         Series(dt=y.dt, values=y.values[:cut], unit=y.unit),

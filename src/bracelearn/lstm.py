@@ -303,7 +303,6 @@ class Tape:
     batch_shape: tuple[int, int, int]
     layers: list[_LayerTape]
     h_last: np.ndarray
-    preds: np.ndarray
 
 
 def _windows(net: NetworkParams, windows: np.ndarray) -> np.ndarray:
@@ -376,14 +375,7 @@ def forward_batch(net: NetworkParams, windows: np.ndarray) -> tuple[np.ndarray, 
     """Run a batch of windows through the stack; returns (predictions, tape)."""
     x = _windows(net, windows)
     preds, layers = _run(net, x, keep_tape=True)
-    tape = Tape(
-        net=net,
-        batch_shape=x.shape,
-        layers=layers,
-        h_last=layers[-1].h[-1],
-        preds=preds,
-    )
-    return preds, tape
+    return preds, Tape(net=net, batch_shape=x.shape, layers=layers, h_last=layers[-1].h[-1])
 
 
 def backward_batch(

@@ -173,7 +173,7 @@ def load_model(path) -> TrainedModel:
     try:
         with open(path) as handle:
             doc = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
 
     version = _require(doc, "format_version")

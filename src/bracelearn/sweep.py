@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
-from .dataset import denormalize, fit_norm, split_half, window
-from .errors import DivergenceError, ValidationError
+from .dataset import WindowedDataset, denormalize, fit_norm, split_half, split_point, window
+from .errors import DivergenceError, InsufficientDataError
 from .lstm import init_network, parameter_count
 from .model import ModelConfig, TrainedModel
-from .training import TrainConfig, TrainReport, train
+from .training import TrainConfig, TrainReport, nrmse, train
 
 #: The seven standard configurations: (name, neurons, hidden layers, lookback).
 DEFAULT_GRID: tuple[ModelConfig, ...] = (
@@ -95,6 +95,8 @@ class SweepReport:
     entries: list[SweepEntry] = field(default_factory=list)
     best_model: str | None = None
     data_fingerprint: str = ""
+    #: The (displacement, force) record read from the CSV, for ``emit_predictions``.
+    record: tuple[oracle.Series, oracle.Series] | None = field(default=None, repr=False)
 
     def entry(self, name: str) -> SweepEntry:
         for item in self.entries:
@@ -113,6 +115,20 @@ class SweepReport:
         return json.dumps(self.to_dict(include_timing=include_timing), indent=2, sort_keys=True)
 
 
+def _check_lookback(config: ModelConfig, n: int) -> None:
+    """Both halves of an n-sample record must hold a full window."""
+    half = n - split_point(n)  # the held-out half, never longer than the training half
+    if config.lookback > half:
+        raise InsufficientDataError(
+            f"{config.name}: lookback {config.lookback} exceeds half the series length ({half})"
+        )
+
+
+def predict_record(model: TrainedModel, data: WindowedDataset) -> np.ndarray:
+    """Physical-unit force predicted for every window of a record, in order."""
+    return denormalize(model.predict(data.inputs), model.stats)
+
+
 def fit_model(
     disp: oracle.Series,
     force: oracle.Series,
@@ -121,20 +137,29 @@ def fit_model(
 ) -> tuple[TrainedModel, TrainReport]:
     """Run the full pipeline for one model config.
 
-    Split 50/50, fit normalization on the training half, window both
-    halves with the model's lookback, initialize with the derived
-    per-model seed, train, and evaluate NRMSE on both halves in physical
-    units.
+    Fit normalization on the training half, window the whole record once
+    and train, with the derived per-model seed, on the windows that end in
+    the training half. One pass then predicts every window: the report's
+    ``predictions``, whose slices give both halves' NRMSE in physical units.
     """
-    (train_x, train_y), (test_x, test_y) = split_half(disp, force)
+    (train_x, train_y), _ = split_half(disp, force)
     stats = fit_norm(train_x, train_y)
-    train_set = window(train_x, train_y, stats, config.lookback)
-    test_set = window(test_x, test_y, stats, config.lookback)
+    _check_lookback(config, len(disp))
+    data = window(disp, force, stats, config.lookback)
+    # window w ends at sample w + lookback - 1: the first ``head`` end in the
+    # training half, and those from ``cut`` on lie wholly in the held-out half
+    cut = split_point(len(disp))
+    head = cut - config.lookback + 1
+    train_set = dataclasses.replace(data, inputs=data.inputs[:head], targets=data.targets[:head])
     seed = derive_seed(cfg.seed, config.name)
-    model_cfg = dataclasses.replace(cfg, seed=seed)
     net = init_network(config.neurons, config.hidden_layers, rng=np.random.default_rng(seed))
-    net, report = train(net, train_set, model_cfg, test_set=test_set, stats=stats)
-    return TrainedModel(net=net, config=config, stats=stats), report
+    net, report = train(net, train_set, dataclasses.replace(cfg, seed=seed))
+    model = TrainedModel(net=net, config=config, stats=stats)
+    preds = report.predictions = predict_record(model, data)
+    targets = denormalize(data.targets, stats)
+    report.train_nrmse = nrmse(preds[:head], targets[:head])
+    report.test_nrmse = nrmse(preds[cut:], targets[cut:])
+    return model, report
 
 
 def run_sweep(
@@ -146,18 +171,14 @@ def run_sweep(
 
     A model whose training diverges is recorded with the ``diverged``
     sentinel and a message; the remaining models still run. The best
-    model is the finished entry with the lowest test NRMSE.
+    model is the finished entry with the lowest test NRMSE. The report
+    keeps the record it read for the prediction CSVs.
     """
     disp, force = oracle.read_csv(data_csv)
-    half = len(disp) // 2
     for config in grid:
-        if config.lookback > half:
-            raise ValidationError(
-                f"{config.name}: lookback {config.lookback} exceeds half the "
-                f"series length ({half})"
-            )
+        _check_lookback(config, len(disp))
 
-    report = SweepReport(data_fingerprint=fingerprint(data_csv))
+    report = SweepReport(data_fingerprint=fingerprint(data_csv), record=(disp, force))
     for config in grid:
         try:
             trained, train_report = fit_model(disp, force, config, cfg)
@@ -204,30 +225,19 @@ def write_summary_csv(report: SweepReport, path, include_timing: bool = False) -
             )
 
 
-def emit_predictions(model: TrainedModel, data_csv, out_csv) -> None:
-    """Write ``t,displacement,force_true,force_pred,split`` over the full series.
+def emit_predictions(model: TrainedModel, disp, force, preds, out_csv) -> None:
+    """Write ``t,displacement,force_true,force_pred,split`` over the full record.
 
-    Predictions cover every full window of the series; the first
-    ``lookback - 1`` rows have no window ending there and carry an empty
-    force_pred field. The split column tags each sample by the 50/50
-    temporal split convention.
+    ``preds`` is the force predicted for every window (``predict_record``);
+    the first ``lookback - 1`` rows end no window and leave force_pred
+    empty. The split column tags each sample by ``split_point``.
     """
-    disp, force = oracle.read_csv(data_csv)
-    lookback = model.config.lookback
-    windows = window(disp, force, model.stats, lookback)
-    preds = denormalize(model.predict(windows.inputs), model.stats)
-    cut = (len(disp) + 1) // 2
+    cut = split_point(len(disp))
+    pred_fields = [""] * (model.config.lookback - 1) + list(map(repr, np.asarray(preds).tolist()))
+    rows = zip(disp.values.tolist(), force.values.tolist(), pred_fields, strict=True)
     with open(out_csv, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "displacement", "force_true", "force_pred", "split"])
-        for i in range(len(disp)):
-            pred_field = repr(float(preds[i - lookback + 1])) if i >= lookback - 1 else ""
-            writer.writerow(
-                [
-                    repr(i * disp.dt),
-                    repr(float(disp.values[i])),
-                    repr(float(force.values[i])),
-                    pred_field,
-                    "train" if i < cut else "test",
-                ]
-            )
+        for i, (x, f, pred) in enumerate(rows):
+            split = "train" if i < cut else "test"
+            writer.writerow([repr(i * disp.dt), repr(x), repr(f), pred, split])

@@ -66,6 +66,8 @@ class TrainReport:
     wall_seconds: float = 0.0
     train_nrmse: float | None = None
     test_nrmse: float | None = None
+    #: Physical-unit force of every window of the record, for the prediction CSV only.
+    predictions: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -156,9 +158,6 @@ def train(
     net: NetworkParams,
     train_set: WindowedDataset,
     cfg: TrainConfig,
-    *,
-    test_set: WindowedDataset | None = None,
-    stats: NormStats | None = None,
 ) -> tuple[NetworkParams, TrainReport]:
     """Fit the network with shuffled mini-batch Adam; parameters update in place.
 
@@ -167,8 +166,7 @@ def train(
     and applies Adam with bias correction. Training halts at
     ``max_epochs`` or once the epoch loss has failed to improve on the
     best seen by at least MIN_IMPROVEMENT for ``early_stop_patience``
-    consecutive epochs. When ``test_set`` and ``stats`` are given, the
-    report carries NRMSE for both splits in physical units.
+    consecutive epochs. It only trains: ``sweep.fit_model`` evaluates.
     """
     if net.input_dim != train_set.input_dim:
         raise ValidationError(
@@ -217,14 +215,9 @@ def train(
             if stale >= cfg.early_stop_patience:
                 break
 
-    report = TrainReport(
+    return net, TrainReport(
         losses=losses,
         epochs_run=len(losses),
         seed=cfg.seed,
         wall_seconds=time.perf_counter() - started,
     )
-    if stats is not None:
-        report.train_nrmse = evaluate_nrmse(net, train_set, stats)
-        if test_set is not None:
-            report.test_nrmse = evaluate_nrmse(net, test_set, stats)
-    return net, report

@@ -182,6 +182,43 @@ class TestStrictConfig:
         )
         with pytest.raises(ConfigError, match="'m a'.*'M-A'"):
             load_config(config)
+        # distinct files, but --model ma would match either
+        config = write_config(
+            tmp_path / "c.yaml",
+            grid=[
+                {"name": "m-a", "neurons": 2, "hidden_layers": 1, "lookback": 2},
+                {"name": "ma", "neurons": 3, "hidden_layers": 1, "lookback": 2},
+            ],
+        )
+        with pytest.raises(ConfigError, match="'m-a'.*'ma'"):
+            load_config(config)
+
+    @pytest.mark.parametrize("name", ["x/y", "x\\y", "../up"])
+    def test_grid_name_must_be_plain_file_name(self, tiny_cli_csv, tmp_path, capsys, name):
+        config = write_config(
+            tmp_path / "c.yaml",
+            training={"max_epochs": 1},
+            grid=[
+                {"name": "fine", "neurons": 2, "hidden_layers": 1, "lookback": 2},
+                {"name": name, "neurons": 2, "hidden_layers": 1, "lookback": 2},
+            ],
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(config)
+        assert excinfo.value.field == "grid[1].name"
+        out_dir = tmp_path / "study"
+        code = main(["sweep", "--config", config, "--data", str(tiny_cli_csv),
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "grid[1].name" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "deep.yaml"
+        config.write_text("grid: " + "[" * 100_000 + "\n")
+        code = main(["generate", "--config", str(config), "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        assert str(config) in capsys.readouterr().err
 
     def test_null_section_means_defaults(self, tmp_path):
         config = load_config(write_config(tmp_path / "c.yaml", training=None))
@@ -304,8 +341,41 @@ class TestSweepCommand:
         assert len(rows) == len(disp) + 1
         assert sum(1 for row in rows[1:] if row[3] == "") == 6 - 1
 
+    def test_each_record_read_once_and_each_window_predicted_once(
+        self, tiny_config, tiny_cli_csv, tmp_path, monkeypatch
+    ):
+        import bracelearn.model
+        import bracelearn.training
+
+        predicted = {}
+        for module in (bracelearn.model, bracelearn.training):
+            def counting(net, windows, *args, _original=module.predict, _name=module.__name__):
+                predicted[_name] = predicted.get(_name, 0) + len(windows)
+                return _original(net, windows, *args)
+
+            monkeypatch.setattr(module, "predict", counting)
+        reads = []
+        real_read = oracle.read_csv
+        monkeypatch.setattr(oracle, "read_csv", lambda path: reads.append(path) or real_read(path))
+        n = len(real_read(tiny_cli_csv)[0])
+        assert main(
+            ["sweep", "--config", tiny_config, "--data", str(tiny_cli_csv),
+             "--out-dir", str(tmp_path / "sweep")]
+        ) == 0
+        # the grid's lookbacks are 6 and 8
+        assert predicted == {"bracelearn.model": (n - 6 + 1) + (n - 8 + 1)}
+        assert len(reads) == 1
+
 
 class TestPredict:
+    def test_deeply_nested_model_exits_2(self, tiny_cli_csv, tmp_path, capsys):
+        model = tmp_path / "deep.json"
+        model.write_text("[" * 100_000)
+        code = main(["predict", "--model", str(model), "--data", str(tiny_cli_csv),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert str(model) in capsys.readouterr().err
+
     def test_round_trip(self, tiny_config, tiny_cli_csv, tmp_path):
         model_path = tmp_path / "m.json"
         assert main(

@@ -5,11 +5,13 @@ import csv
 import numpy as np
 import pytest
 
-from bracelearn import lstm, sweep
+from bracelearn import dataset, lstm, sweep, training
 from bracelearn.dataset import IDENTITY_STATS
 from bracelearn.errors import ValidationError
 from bracelearn.model import ModelConfig, TrainedModel
-from bracelearn.sweep import DEFAULT_GRID, derive_seed, emit_predictions, run_sweep
+from bracelearn.sweep import (
+    DEFAULT_GRID, derive_seed, emit_predictions, fit_model, predict_record, run_sweep,
+)
 from bracelearn.training import TrainConfig
 
 FAST_CFG = TrainConfig(max_epochs=2, batch_size=64, seed=0)
@@ -35,6 +37,24 @@ class TestGrid:
         assert seeds == {name: derive_seed(0, name) for name in seeds}
         assert len(set(seeds.values())) == 3
         assert derive_seed(1, "Model 1") != derive_seed(0, "Model 1")
+
+
+class TestFitModel:
+    def test_report_nrmse_in_physical_units(self, default_data):
+        # one full-record pass gives the same numbers as windowing each half
+        disp, force = default_data
+        model, report = fit_model(
+            disp, force, ModelConfig("m", 6, 1, 10), TrainConfig(max_epochs=2, seed=34)
+        )
+        (tx, ty), (sx, sy) = dataset.split_half(disp, force)
+        stats = dataset.fit_norm(tx, ty)
+        assert model.stats == stats
+        train_set = dataset.window(tx, ty, stats, 10)
+        test_set = dataset.window(sx, sy, stats, 10)
+        assert report.train_nrmse == training.evaluate_nrmse(model.net, train_set, stats)
+        assert report.test_nrmse == training.evaluate_nrmse(model.net, test_set, stats)
+        assert len(report.predictions) == len(disp) - 10 + 1
+        assert "predictions" not in report.to_dict()
 
 
 class TestRunSweep:
@@ -143,22 +163,29 @@ class FakeModel:
         return self._force[self.config.lookback - 1 :]
 
 
+def emit(model, record, out):
+    """Predict every window of ``record`` and write the prediction CSV."""
+    disp, force = record
+    data = sweep.window(disp, force, model.stats, model.config.lookback)
+    emit_predictions(model, disp, force, predict_record(model, data), out)
+
+
 class TestEmitPredictions:
-    def test_pass_through_double_matches_truth(self, tiny_csv, tiny_data, tmp_path):
+    def test_pass_through_double_matches_truth(self, tiny_data, tmp_path):
         _, force = tiny_data
         fake = FakeModel(force.values, lookback=7)
         out = tmp_path / "pred.csv"
-        emit_predictions(fake, tiny_csv, out)
+        emit(fake, tiny_data, out)
         rows = list(csv.reader(out.open()))
         for row in rows[1 + 6 :]:
             assert row[3] == row[2]
 
-    def test_row_count_and_empty_prefix(self, tiny_csv, tiny_data, tmp_path):
+    def test_row_count_and_empty_prefix(self, tiny_data, tmp_path):
         _, force = tiny_data
         lookback = 9
         fake = FakeModel(force.values, lookback)
         out = tmp_path / "pred.csv"
-        emit_predictions(fake, tiny_csv, out)
+        emit(fake, tiny_data, out)
         rows = list(csv.reader(out.open()))
         assert rows[0] == ["t", "displacement", "force_true", "force_pred", "split"]
         assert len(rows) == len(force) + 1
@@ -166,11 +193,11 @@ class TestEmitPredictions:
         assert len(empties) == lookback - 1
         assert all(row[3] == "" for row in rows[1 : lookback])
 
-    def test_split_column_changes_once_at_midpoint(self, tiny_csv, tiny_data, tmp_path):
+    def test_split_column_changes_once_at_midpoint(self, tiny_data, tmp_path):
         _, force = tiny_data
         fake = FakeModel(force.values, lookback=5)
         out = tmp_path / "pred.csv"
-        emit_predictions(fake, tiny_csv, out)
+        emit(fake, tiny_data, out)
         rows = list(csv.reader(out.open()))[1:]
         labels = [row[4] for row in rows]
         cut = (len(force) + 1) // 2
@@ -178,7 +205,7 @@ class TestEmitPredictions:
         assert changes == [cut]
         assert labels[0] == "train" and labels[-1] == "test"
 
-    def test_trained_model_emission(self, tiny_csv, tiny_data, tmp_path):
+    def test_trained_model_emission(self, tiny_data, tmp_path):
         disp, force = tiny_data
         from bracelearn.dataset import fit_norm, split_half
 
@@ -188,7 +215,7 @@ class TestEmitPredictions:
             net=net, config=ModelConfig("m", 3, 1, 6), stats=fit_norm(tx, ty)
         )
         out = tmp_path / "pred.csv"
-        emit_predictions(trained, tiny_csv, out)
+        emit(trained, tiny_data, out)
         rows = list(csv.reader(out.open()))
         assert len(rows) == len(force) + 1
         floats = [float(row[3]) for row in rows[6 + 1 :]]

@@ -159,20 +159,6 @@ class TestTrain:
         _, report = training.train(net, data, cfg)
         assert report.epochs_run == 5  # first epoch sets best, then 4 stale
 
-    def test_report_nrmse_in_physical_units(self, default_data):
-        disp, force = default_data
-        (tx, ty), (sx, sy) = dataset.split_half(disp, force)
-        stats = dataset.fit_norm(tx, ty)
-        train_set = dataset.window(tx, ty, stats, 10)
-        test_set = dataset.window(sx, sy, stats, 10)
-        net = lstm.init_network(6, 1, 1, rng=np.random.default_rng(34))
-        cfg = TrainConfig(max_epochs=2, seed=34)
-        _, report = training.train(net, train_set, cfg, test_set=test_set, stats=stats)
-        assert report.train_nrmse is not None and report.train_nrmse >= 0
-        assert report.test_nrmse is not None and report.test_nrmse >= 0
-        expected = training.evaluate_nrmse(net, test_set, stats)
-        assert report.test_nrmse == pytest.approx(expected, rel=1e-12)
-
 
 def overfit_probe_dataset(default_data, num_windows=8, lookback=30):
     """Evenly spaced windows from the training half of the default run."""
