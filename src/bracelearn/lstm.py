@@ -17,8 +17,8 @@ Cell computation per step (sigma is the logistic function, * elementwise):
 
 ``cell_forward`` evaluates these gate by gate for one cell and one step;
 it is the reference for the batched engine (``forward_batch``,
-``backward_batch``, ``predict``), one kernel over time-major
-(lookback, batch, .) arrays that keeps a tape for BPTT only when asked.
+``backward_batch``, ``predict``), one kernel over feature-major
+(lookback, 4H, batch) gates that keeps a tape for BPTT only when asked.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ class CellParams:
     equations above: input weights (hidden_size, input_size), recurrent
     weights (hidden_size, hidden_size), biases (hidden_size,).
 
-    Construction packs them into the operands the batched engine uses,
-    gates ordered i, f, o, g along the last axis: ``wx`` (input_size, 4H),
-    ``wh`` (H, 4H) and ``b`` (4H,), all C-contiguous. Each gate field then
-    becomes a view of them (``Wx_i`` is ``wx[:, :H].T``).
+    Construction stacks them into the operands the batched engine uses,
+    gates ordered i, f, o, g along the first axis: ``wx`` (4H, input_size),
+    ``wh`` (4H, H) and ``b`` (4H,), all C-contiguous. Each gate field then
+    becomes a row block of them (``Wx_i`` is ``wx[:H]``).
     """
 
     Wx_i: np.ndarray
@@ -81,7 +81,7 @@ class CellParams:
             if block.shape != want:
                 raise ShapeError(f"{name} has shape {block.shape} but Wx_i implies {want}")
         wx, wh, b = (
-            np.concatenate([blocks[f"{kind}_{gate}"].T for gate in _GATE_ORDER], axis=-1)
+            np.concatenate([blocks[f"{kind}_{gate}"] for gate in _GATE_ORDER])
             for kind in expected
         )
         if not all(np.isfinite(a).all() for a in (wx, wh, b)):
@@ -91,20 +91,20 @@ class CellParams:
     def _point_at(self, wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> None:
         """Make wx/wh/b the storage and every gate field a view of them."""
         self.wx, self.wh, self.b = wx, wh, b
-        hid = wh.shape[0]
+        hid = wh.shape[1]
         for k, gate in enumerate(_GATE_ORDER):
-            cols = slice(k * hid, (k + 1) * hid)
-            setattr(self, f"Wx_{gate}", wx[:, cols].T)
-            setattr(self, f"Wh_{gate}", wh[:, cols].T)
-            setattr(self, f"b_{gate}", b[cols])
+            rows = slice(k * hid, (k + 1) * hid)
+            setattr(self, f"Wx_{gate}", wx[rows])
+            setattr(self, f"Wh_{gate}", wh[rows])
+            setattr(self, f"b_{gate}", b[rows])
 
     @property
     def hidden_size(self) -> int:
-        return self.wh.shape[0]
+        return self.wh.shape[1]
 
     @property
     def input_size(self) -> int:
-        return self.wx.shape[0]
+        return self.wx.shape[1]
 
 
 @dataclass
@@ -276,18 +276,18 @@ def cell_forward(params: CellParams, x_t: np.ndarray, prev: CellState) -> CellSt
 
 @dataclass
 class _LayerTape:
-    """One layer's activations, time-major so every step's slice is contiguous.
+    """One layer's activations, batch axis last: each gate block is contiguous.
 
     Row 0 of ``c`` and ``h`` is the zero initial state, so row ``t`` is
     the state step ``t`` starts from and row ``t + 1`` the one it ends in;
     ``h[1:]`` is the layer's output sequence.
     """
 
-    inputs: np.ndarray  # (T, B, in) what this layer consumed
-    gates: np.ndarray   # (T, B, 4H) post-activation i, f, o, g
-    c: np.ndarray       # (T + 1, B, H)
-    tanh_c: np.ndarray  # (T, B, H)
-    h: np.ndarray       # (T + 1, B, H)
+    inputs: np.ndarray  # (T, in, B) what this layer consumed
+    gates: np.ndarray   # (T, 4H, B) post-activation i, f, o, g
+    c: np.ndarray       # (T + 1, H, B)
+    tanh_c: np.ndarray  # (T, H, B)
+    h: np.ndarray       # (T + 1, H, B)
 
 
 @dataclass
@@ -295,8 +295,8 @@ class Tape:
     """Cached activations from one forward call, consumed by backward.
 
     ``batch_shape`` is the (batch, lookback, input_dim) shape of the
-    windows; ``layers`` hold time-major sequences; ``h_last`` is the top
-    layer's final hidden state, (batch, H).
+    windows; ``layers`` hold (T, feature, B) sequences; ``h_last`` is the
+    top layer's final hidden state, a (batch, H) view of its last row.
     """
 
     net: NetworkParams
@@ -322,50 +322,51 @@ def _run(
 ) -> tuple[np.ndarray, list[_LayerTape]]:
     """Step the stack over a batch of windows; returns (predictions, layer tapes).
 
-    The windows are transposed to time-major (T, B, in) and fed through
-    the layers in turn. With ``keep_tape`` every layer's activations are
-    returned for backward_batch; without, the list is empty and only the
-    current layer's input and output h sequences are alive at any time,
-    so peak memory is one layer of the batch rather than the whole stack.
+    The windows are transposed to (T, in, B) and fed through the layers
+    in turn. With ``keep_tape`` every layer's activations are returned
+    for backward_batch; without, the list is empty and only the current
+    layer's input and output h sequences are alive at any time, so peak
+    memory is one layer of the batch rather than the whole stack.
     """
-    inp = np.ascontiguousarray(x.transpose(1, 0, 2))
+    inp = np.ascontiguousarray(x.transpose(1, 2, 0))
     layers: list[_LayerTape] = []
     for cell in net.cells:
         inp = _layer(cell, inp, layers if keep_tape else None)
-    return inp[-1] @ net.W_out + net.b_out[0], layers
+    return net.W_out @ inp[-1] + net.b_out[0], layers
 
 
 def _layer(cell: CellParams, inp: np.ndarray, tape: list[_LayerTape] | None) -> np.ndarray:
-    """Step one cell over time-major ``inp``; returns its h sequence (T, B, H).
+    """Step one cell over ``inp`` (T, in, B); returns its h sequence (T, H, B).
 
-    The input projection of every step is one GEMM into a (T, B, 4H)
-    buffer; step ``t`` adds ``h_prev @ wh`` to its slice and overwrites it
-    in place with the gate activations. The layer's activations are
-    appended to ``tape`` unless it is None, in which case c and tanh(c)
-    roll over two rows and one row and the gate buffer is freed on return.
+    The input projection of every step is one batched GEMM into a
+    (T, 4H, B) buffer; step ``t`` adds ``wh @ h_prev`` to its slice and
+    overwrites it in place with the gate activations. The layer's
+    activations are appended to ``tape`` unless it is None, in which case
+    c and tanh(c) roll over two rows and one row and the gate buffer is
+    freed on return.
     """
-    steps, batch, _ = inp.shape
+    steps, _, batch = inp.shape
     hid = cell.hidden_size
-    gates = (inp.reshape(steps * batch, -1) @ cell.wx).reshape(steps, batch, 4 * hid)
-    gates += cell.b
-    h = np.zeros((steps + 1, batch, hid))
+    gates = np.matmul(cell.wx, inp)
+    gates += cell.b[:, None]
+    h = np.zeros((steps + 1, hid, batch))
     # with a tape, c[t] and c[t + 1] below; without, two rolling rows
-    c = np.zeros((steps + 1 if tape is not None else 2, batch, hid))
-    tanh_c = np.empty((steps if tape is not None else 1, batch, hid))
-    rec = np.empty((batch, 4 * hid))
-    ig = np.empty((batch, hid))
+    c = np.zeros((steps + 1 if tape is not None else 2, hid, batch))
+    tanh_c = np.empty((steps if tape is not None else 1, hid, batch))
+    rec = np.empty((4 * hid, batch))
+    ig = np.empty((hid, batch))
     for t in range(steps):
         a = gates[t]
-        a += np.matmul(h[t], cell.wh, out=rec)
-        ifo, g = a[:, : 3 * hid], a[:, 3 * hid :]
+        a += np.matmul(cell.wh, h[t], out=rec)
+        ifo, g = a[: 3 * hid], a[3 * hid :]
         _sigmoid(ifo, out=ifo)
         np.tanh(g, out=g)
         c_t = c[(t + 1) % len(c)]
         tc = tanh_c[t % len(tanh_c)]
-        np.multiply(ifo[:, hid : 2 * hid], c[t % len(c)], out=c_t)
-        c_t += np.multiply(ifo[:, :hid], g, out=ig)
+        np.multiply(ifo[hid : 2 * hid], c[t % len(c)], out=c_t)
+        c_t += np.multiply(ifo[:hid], g, out=ig)
         np.tanh(c_t, out=tc)
-        np.multiply(ifo[:, 2 * hid :], tc, out=h[t + 1])
+        np.multiply(ifo[2 * hid :], tc, out=h[t + 1])
     if tape is not None:
         tape.append(_LayerTape(inputs=inp, gates=gates, c=c, tanh_c=tanh_c, h=h))
     return h[1:]
@@ -375,7 +376,7 @@ def forward_batch(net: NetworkParams, windows: np.ndarray) -> tuple[np.ndarray, 
     """Run a batch of windows through the stack; returns (predictions, tape)."""
     x = _windows(net, windows)
     preds, layers = _run(net, x, keep_tape=True)
-    return preds, Tape(net=net, batch_shape=x.shape, layers=layers, h_last=layers[-1].h[-1])
+    return preds, Tape(net=net, batch_shape=x.shape, layers=layers, h_last=layers[-1].h[-1].T)
 
 
 def backward_batch(
@@ -399,36 +400,35 @@ def backward_batch(
     grads.b_out[0] = d_preds.sum()
 
     # gradient of the loss with respect to each step's h, from the layer above
-    d_h = np.zeros((steps, batch, net.hidden_size))
-    d_h[-1] = d_preds[:, None] * net.W_out[None, :]
+    d_h = np.zeros((steps, net.hidden_size, batch))
+    d_h[-1] = net.W_out[:, None] * d_preds[None, :]
 
     for cell, grad, lt in reversed(list(zip(net.cells, grads.cells, tape.layers))):
         hid = cell.hidden_size
-        d_a = np.empty((steps, batch, 4 * hid))
-        dh_carry = np.zeros((batch, hid))
-        dc_carry = np.zeros((batch, hid))
+        d_a = np.empty((steps, 4 * hid, batch))
+        dh_carry = np.zeros((hid, batch))
+        dc_carry = np.zeros((hid, batch))
         for t in range(steps - 1, -1, -1):
-            ifo, g = lt.gates[t, :, : 3 * hid], lt.gates[t, :, 3 * hid :]
-            i, f, o = ifo[:, :hid], ifo[:, hid : 2 * hid], ifo[:, 2 * hid :]
+            ifo, g = lt.gates[t, : 3 * hid], lt.gates[t, 3 * hid :]
+            i, f, o = ifo[:hid], ifo[hid : 2 * hid], ifo[2 * hid :]
             tc = lt.tanh_c[t]
             da = d_a[t]
             dh = d_h[t]
             dh += dh_carry
             dc = dh * o * (1.0 - tc * tc) + dc_carry
-            np.multiply(dc, g, out=da[:, :hid])
-            np.multiply(dc, lt.c[t], out=da[:, hid : 2 * hid])
-            np.multiply(dh, tc, out=da[:, 2 * hid : 3 * hid])
-            da[:, : 3 * hid] *= ifo
-            da[:, : 3 * hid] *= 1.0 - ifo
-            np.multiply(dc, i, out=da[:, 3 * hid :])
-            da[:, 3 * hid :] *= 1.0 - g * g
-            np.matmul(da, cell.wh.T, out=dh_carry)
+            np.multiply(dc, g, out=da[:hid])
+            np.multiply(dc, lt.c[t], out=da[hid : 2 * hid])
+            np.multiply(dh, tc, out=da[2 * hid : 3 * hid])
+            da[: 3 * hid] *= ifo
+            da[: 3 * hid] *= 1.0 - ifo
+            np.multiply(dc, i, out=da[3 * hid :])
+            da[3 * hid :] *= 1.0 - g * g
+            np.matmul(cell.wh.T, da, out=dh_carry)
             np.multiply(dc, f, out=dc_carry)
-        flat_da = d_a.reshape(steps * batch, 4 * hid)
-        np.matmul(lt.inputs.reshape(steps * batch, -1).T, flat_da, out=grad.wx)
-        np.matmul(lt.h[:-1].reshape(steps * batch, hid).T, flat_da, out=grad.wh)
-        flat_da.sum(axis=0, out=grad.b)
-        d_h = (flat_da @ cell.wx.T).reshape(steps, batch, -1)
+        grad.wx[...] = np.tensordot(d_a, lt.inputs, axes=([0, 2], [0, 2]))
+        grad.wh[...] = np.tensordot(d_a, lt.h[:-1], axes=([0, 2], [0, 2]))
+        d_a.sum(axis=(0, 2), out=grad.b)
+        d_h = np.matmul(cell.wx.T, d_a)
     return grads
 
 
@@ -459,7 +459,7 @@ def predict(net: NetworkParams, windows: np.ndarray, chunk_size: int = 1024) -> 
     """Forward-only predictions for many windows, processed in chunks.
 
     No tape is kept, so peak memory is about one layer's gate buffer for
-    one chunk, (lookback, chunk_size, 4H) float64.
+    one chunk, (lookback, 4H, chunk_size) float64.
     """
     x = _windows(net, windows)
     if chunk_size < 1:

@@ -12,6 +12,7 @@ dissipated energy accumulates.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -300,17 +301,22 @@ def write_csv(path, disp: Series, force: Series) -> None:
             writer.writerow([repr(i * disp.dt), repr(float(d)), repr(float(f))])
 
 
-def read_csv(path) -> tuple[Series, Series]:
+def read_csv(path, raw: bytes | None = None) -> tuple[Series, Series]:
     """Read a ``t,displacement,force`` CSV back into a series pair.
 
-    A row with the wrong number of fields, a non-numeric cell, a
-    non-finite value or a ``t`` off the uniform grid from the first to the
-    last row (by more than 1e-6 of the step) raises ValidationError naming
-    the file and line. ``dt`` is the first step, ``t[1] - t[0]``.
+    ``raw``, when given, is the file's content already read (so a caller
+    can hash the very bytes that were parsed); ``path`` then only names
+    the file in messages. A row with the wrong number of fields, a
+    non-numeric cell, a non-finite value or a ``t`` off the uniform grid
+    from the first to the last row (by more than 1e-6 of the step) raises
+    ValidationError naming the file and line. ``dt`` is the first step,
+    ``t[1] - t[0]``.
     """
     path = Path(path)
+    if raw is None:
+        raw = path.read_bytes()
     # an undecodable byte becomes U+FFFD, which the row checks then reject
-    with open(path, newline="", errors="replace") as handle:
+    with io.StringIO(raw.decode("utf-8", errors="replace"), newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or tuple(header) != CSV_HEADER:

@@ -50,9 +50,9 @@ def derive_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def fingerprint(path) -> str:
+def fingerprint(raw: bytes) -> str:
     """SHA-256 hex digest of a data file's bytes."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return hashlib.sha256(raw).hexdigest()
 
 
 @dataclass
@@ -172,13 +172,15 @@ def run_sweep(
     A model whose training diverges is recorded with the ``diverged``
     sentinel and a message; the remaining models still run. The best
     model is the finished entry with the lowest test NRMSE. The report
-    keeps the record it read for the prediction CSVs.
+    keeps the record it read for the prediction CSVs, and the fingerprint
+    of the bytes it parsed.
     """
-    disp, force = oracle.read_csv(data_csv)
+    raw = Path(data_csv).read_bytes()
+    disp, force = oracle.read_csv(data_csv, raw)
     for config in grid:
         _check_lookback(config, len(disp))
 
-    report = SweepReport(data_fingerprint=fingerprint(data_csv), record=(disp, force))
+    report = SweepReport(data_fingerprint=fingerprint(raw), record=(disp, force))
     for config in grid:
         try:
             trained, train_report = fit_model(disp, force, config, cfg)
@@ -202,7 +204,8 @@ def run_sweep(
 
 
 def write_summary_csv(report: SweepReport, path, include_timing: bool = False) -> None:
-    """Flat per-model summary; timing column is blank unless requested."""
+    """Flat per-model summary; seconds is blank unless timing is requested,
+    and blank for a diverged entry, as ``report.json`` omits it there."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SUMMARY_COLUMNS)
@@ -216,7 +219,7 @@ def write_summary_csv(report: SweepReport, path, include_timing: bool = False) -
             epochs = entry.report.epochs_run if entry.report is not None else ""
             seconds = (
                 repr(entry.report.wall_seconds)
-                if include_timing and entry.report is not None
+                if include_timing and not entry.failed
                 else ""
             )
             writer.writerow(

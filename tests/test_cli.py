@@ -356,7 +356,9 @@ class TestSweepCommand:
             monkeypatch.setattr(module, "predict", counting)
         reads = []
         real_read = oracle.read_csv
-        monkeypatch.setattr(oracle, "read_csv", lambda path: reads.append(path) or real_read(path))
+        monkeypatch.setattr(
+            oracle, "read_csv", lambda path, *raw: reads.append(path) or real_read(path, *raw)
+        )
         n = len(real_read(tiny_cli_csv)[0])
         assert main(
             ["sweep", "--config", tiny_config, "--data", str(tiny_cli_csv),
@@ -365,6 +367,52 @@ class TestSweepCommand:
         # the grid's lookbacks are 6 and 8
         assert predicted == {"bracelearn.model": (n - 6 + 1) + (n - 8 + 1)}
         assert len(reads) == 1
+
+    def test_data_file_bytes_read_once_and_hashed(self, tiny_cli_csv, tmp_path, monkeypatch):
+        import builtins
+        import hashlib
+
+        config = write_config(
+            tmp_path / "one.yaml",
+            training={"max_epochs": 1, "seed": 0},
+            grid=[{"name": "m", "neurons": 3, "hidden_layers": 1, "lookback": 6}],
+        )
+        data = tiny_cli_csv.resolve()
+        reads = []
+
+        def counted(original):
+            def wrapper(first, *args, **kwargs):
+                if isinstance(first, (str, Path)) and Path(first).resolve() == data:
+                    reads.append(original.__name__)
+                return original(first, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(builtins, "open", counted(builtins.open))
+        monkeypatch.setattr(Path, "read_bytes", counted(Path.read_bytes))
+        out_dir = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", config, "--data", str(tiny_cli_csv),
+             "--out-dir", str(out_dir)]
+        ) == 0
+        assert len(reads) == 1
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["data_fingerprint"] == hashlib.sha256(data.read_bytes()).hexdigest()
+
+    def test_diverged_entry_leaves_seconds_blank(self, tiny_cli_csv, tmp_path):
+        config = write_config(
+            tmp_path / "diverge.yaml",
+            training={"max_epochs": 2, "learning_rate": 1.0e200, "clip_norm": 0.0},
+            grid=[{"name": "a", "neurons": 2, "hidden_layers": 1, "lookback": 4}],
+        )
+        out_dir = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", config, "--data", str(tiny_cli_csv),
+             "--out-dir", str(out_dir), "--timing"]
+        ) == 0
+        with open(out_dir / "summary.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[1][:6] == ["a", "2", "1", "4", "diverged", "diverged"]
+        assert rows[1][-1] == ""
 
 
 class TestPredict:

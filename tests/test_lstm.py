@@ -172,7 +172,7 @@ class TestForward:
         net = lstm.init_network(8, 4, 1, rng=rng)
         steps, chunk = 30, 64
         windows = rng.normal(size=(3 * chunk, steps, 1))
-        gate_bytes = steps * chunk * 4 * net.hidden_size * 8  # one (T, B, 4H) buffer
+        gate_bytes = steps * chunk * 4 * net.hidden_size * 8  # one (T, 4H, B) buffer
         tracemalloc.start()
         try:
             lstm.predict(net, windows, chunk_size=chunk)
@@ -241,6 +241,51 @@ class TestGradCheck:
             arr[...] = scale_rng.normal(size=arr.shape) * 1e-8
         err = lstm.grad_check(net, np.random.default_rng(17).normal(size=(4, 1)), 0.0)
         assert err <= 1e-5
+
+
+class TestEngineShapes:
+    """Hidden size, batch, lookback and input size all differ, so a kernel
+    that swapped two of these axes would fail rather than broadcast."""
+
+    HIDDEN, BATCH, STEPS, INPUT = 5, 7, 4, 2
+
+    @pytest.fixture()
+    def case(self):
+        # central differences carry about 1e-11 absolute round-off here, so
+        # seeds whose smallest gradients near 1e-8 read above 1e-5 relative
+        # are no test of the engine; this one's stay clear of that floor
+        rng = np.random.default_rng(25)
+        net = lstm.init_network(self.HIDDEN, 3, self.INPUT, rng=rng)
+        windows = rng.normal(size=(self.BATCH, self.STEPS, self.INPUT))
+        return net, windows, rng
+
+    def test_predict_forward_batch_and_cell_forward_agree(self, case):
+        net, windows, _ = case
+        batched, _ = lstm.forward_batch(net, windows)
+        np.testing.assert_array_equal(lstm.predict(net, windows), batched)
+        for w, window in enumerate(windows):
+            seq = list(window)
+            for cell in net.cells:
+                state = CellState.zeros(cell.hidden_size)
+                out = []
+                for x_t in seq:
+                    state = lstm.cell_forward(cell, x_t, state)
+                    out.append(state.h)
+                seq = out
+            expected = float(seq[-1] @ net.W_out + net.b_out[0])
+            assert batched[w] == pytest.approx(expected, abs=1e-12)
+
+    def test_batch_gradients_pass_grad_check_and_sum_over_windows(self, case):
+        net, windows, rng = case
+        assert lstm.grad_check(net, windows[0], float(rng.normal())) <= 1e-5
+        seeds = rng.normal(size=self.BATCH)
+        _, tape = lstm.forward_batch(net, windows)
+        batched = lstm.backward_batch(net, tape, seeds)
+        summed = np.zeros_like(net.flat)
+        for window, seed in zip(windows, seeds):
+            _, single = lstm.forward(net, window)
+            summed += lstm.backward(net, single, seed).flat
+        np.testing.assert_allclose(batched.flat, summed, rtol=1e-12, atol=1e-14)
 
 
 class TestNetworkParams:

@@ -1,5 +1,6 @@
 """Model JSON round trip and format validation."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -45,6 +46,37 @@ class TestRoundTrip:
         loaded = model.load_model(path)
         windows = np.random.default_rng(41).normal(size=(5, 6, 1))
         np.testing.assert_array_equal(loaded.predict(windows), trained.predict(windows))
+
+
+class TestPinnedFile:
+    """A fixed seeded model's file bytes and predictions, recorded once.
+
+    Guards the JSON v1 bytes, the ``init_network`` draw order and the
+    per-gate blocks against any change to how the engine stores a cell.
+    """
+
+    SHA256 = "628fa18191f55c6764c3f839c61ec95b96f47c1ef4cac8918839b47431a6c94c"
+    PREDICTIONS = [
+        0.025438468191333174,
+        0.008256822128007314,
+        -0.003919356874481771,
+        -0.006135452373869127,
+        0.009889263604570833,
+    ]
+
+    def test_file_and_predictions_are_pinned(self, tmp_path):
+        pinned = TrainedModel(
+            net=lstm.init_network(3, 2, rng=np.random.default_rng(0)),
+            config=ModelConfig("Model P", 3, 2, 4),
+            stats=NormStats(mean_x=0.25, std_x=1.5, mean_y=-0.5, std_y=2.0),
+        )
+        path = tmp_path / "model.json"
+        model.save_model(path, pinned)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SHA256
+        windows = np.random.default_rng(1).normal(size=(5, 4, 1))
+        np.testing.assert_allclose(
+            model.load_model(path).predict(windows), self.PREDICTIONS, rtol=0, atol=1e-12
+        )
 
 
 class TestFormatErrors:

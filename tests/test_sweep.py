@@ -63,7 +63,7 @@ class TestRunSweep:
         report = run_sweep(tiny_csv, grid, FAST_CFG)
         assert len(report.entries) == 1
         assert report.best_model == "Model 3d"
-        assert report.data_fingerprint == sweep.fingerprint(tiny_csv)
+        assert report.data_fingerprint == sweep.fingerprint(tiny_csv.read_bytes())
         entry = report.entries[0].to_dict()
         assert entry["parameter_count"] == lstm.parameter_count(
             report.entries[0].model.net
