@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -239,6 +240,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValidationError(f"tolerance must be finite and >= 0, got {args.tolerance}")
     rng = np.random.default_rng(args.seed)
     net = lstm.init_network(args.hidden, args.layers, 1, rng=rng)
     window = rng.normal(size=(args.lookback, 1))

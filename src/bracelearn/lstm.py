@@ -24,6 +24,7 @@ it is the reference for the batched engine (``forward_batch``,
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -129,7 +130,9 @@ class NetworkParams:
     one float64 vector, ``flat``: each cell's ``wx``, ``wh`` and ``b`` in
     layer order, then ``W_out`` and ``b_out``. Every block, packed or
     per-gate, is a view of ``flat``, so one in-place update of ``flat``
-    (an optimizer step) reaches them all.
+    (an optimizer step) reaches them all. ``flat`` is the only parameter
+    interface that training and ``grad_check`` use; a gradient container
+    from ``backward_batch`` has the same layout.
     """
 
     cells: list[CellParams]
@@ -186,11 +189,6 @@ class NetworkParams:
     @property
     def num_layers(self) -> int:
         return len(self.cells)
-
-
-def parameter_arrays(net: NetworkParams) -> list[np.ndarray]:
-    """All parameters of the network, as the single block ``net.flat``."""
-    return [net.flat]
 
 
 def parameter_count(net: NetworkParams) -> int:
@@ -294,15 +292,13 @@ class _LayerTape:
 class Tape:
     """Cached activations from one forward call, consumed by backward.
 
-    ``batch_shape`` is the (batch, lookback, input_dim) shape of the
-    windows; ``layers`` hold (T, feature, B) sequences; ``h_last`` is the
-    top layer's final hidden state, a (batch, H) view of its last row.
+    ``layers`` hold (T, feature, B) sequences, so ``layers[0].inputs``
+    gives the window count and length, and ``layers[-1].h[-1]`` is the
+    (H, B) top-layer hidden state the output head read.
     """
 
     net: NetworkParams
-    batch_shape: tuple[int, int, int]
     layers: list[_LayerTape]
-    h_last: np.ndarray
 
 
 def _windows(net: NetworkParams, windows: np.ndarray) -> np.ndarray:
@@ -376,7 +372,7 @@ def forward_batch(net: NetworkParams, windows: np.ndarray) -> tuple[np.ndarray, 
     """Run a batch of windows through the stack; returns (predictions, tape)."""
     x = _windows(net, windows)
     preds, layers = _run(net, x, keep_tape=True)
-    return preds, Tape(net=net, batch_shape=x.shape, layers=layers, h_last=layers[-1].h[-1].T)
+    return preds, Tape(net=net, layers=layers)
 
 
 def backward_batch(
@@ -390,13 +386,13 @@ def backward_batch(
     """
     if tape.net is not net or len(tape.layers) != len(net.cells):
         raise ValidationError("tape does not belong to this network")
-    batch, steps, _ = tape.batch_shape
+    steps, _, batch = tape.layers[0].inputs.shape
     d_preds = np.asarray(d_preds, dtype=np.float64)
     if d_preds.shape != (batch,):
         raise ShapeError(f"d_preds must have shape {(batch,)}, got {d_preds.shape}")
 
     grads = zeros_like_params(net)
-    np.matmul(tape.h_last.T, d_preds, out=grads.W_out)
+    np.matmul(tape.layers[-1].h[-1], d_preds, out=grads.W_out)
     grads.b_out[0] = d_preds.sum()
 
     # gradient of the loss with respect to each step's h, from the layer above
@@ -448,7 +444,7 @@ def forward(net: NetworkParams, window: np.ndarray) -> tuple[float, Tape]:
 
 def backward(net: NetworkParams, tape: Tape, d_prediction: float) -> NetworkParams:
     """Gradients of one window's prediction, seeded by ``d_prediction``."""
-    if tape.batch_shape[0] != 1:
+    if tape.layers[0].inputs.shape[2] != 1:
         raise ValidationError(
             "backward expects a single-window tape; use backward_batch for batches"
         )
@@ -472,8 +468,14 @@ def predict(net: NetworkParams, windows: np.ndarray, chunk_size: int = 1024) -> 
 
 
 def _squared_error(net: NetworkParams, window: np.ndarray, target: float) -> float:
-    pred, _ = forward(net, window)
-    return (pred - target) ** 2
+    """One window's squared error; a loss past the float range is inf, which
+    grad_check reports as a failure rather than a warning or a traceback."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred, _ = forward(net, window)
+    try:
+        return (pred - target) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def grad_check(
@@ -486,12 +488,15 @@ def grad_check(
 ) -> float:
     """Compare BPTT gradients against central finite differences.
 
-    Perturbs every parameter by +/- eps, differences the squared-error
-    loss, and returns the worst relative discrepancy
-    ``|a - b| / max(|a|, |b|, 1e-12)`` over all parameters. ``corrupt``
+    Perturbs every entry of ``net.flat`` by +/- eps, differences the
+    squared-error loss, and returns the worst relative discrepancy
+    ``|a - b| / max(|a|, |b|, 1e-12)`` over all parameters, or inf as soon
+    as an analytic or numeric entry is non-finite. ``corrupt``
     deliberately damages one analytic gradient entry first, so tests can
     prove the check is able to fail.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValidationError(f"eps must be finite and > 0, got {eps}")
     target = float(target)
     pred, tape = forward(net, window)
     analytic = backward(net, tape, 2.0 * (pred - target))
@@ -499,18 +504,17 @@ def grad_check(
         analytic.cells[0].Wh_f[0, 0] += 0.5
 
     worst = 0.0
-    for p_arr, g_arr in zip(parameter_arrays(net), parameter_arrays(analytic)):
-        for idx in np.ndindex(p_arr.shape):
-            orig = p_arr[idx]
-            p_arr[idx] = orig + eps
-            loss_plus = _squared_error(net, window, target)
-            p_arr[idx] = orig - eps
-            loss_minus = _squared_error(net, window, target)
-            p_arr[idx] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * eps)
-            analytic_val = float(g_arr[idx])
-            rel = abs(analytic_val - numeric) / max(
-                abs(analytic_val), abs(numeric), 1e-12
-            )
-            worst = max(worst, rel)
+    for k in range(net.flat.size):
+        orig = net.flat[k]
+        net.flat[k] = orig + eps
+        loss_plus = _squared_error(net, window, target)
+        net.flat[k] = orig - eps
+        loss_minus = _squared_error(net, window, target)
+        net.flat[k] = orig
+        numeric = (loss_plus - loss_minus) / (2.0 * eps)
+        analytic_val = float(analytic.flat[k])
+        if not (math.isfinite(numeric) and math.isfinite(analytic_val)):
+            return math.inf
+        rel = abs(analytic_val - numeric) / max(abs(analytic_val), abs(numeric), 1e-12)
+        worst = max(worst, rel)
     return worst

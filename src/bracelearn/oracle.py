@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,10 +58,6 @@ class Series:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self.values)) * self.dt
-
 
 @dataclass(frozen=True)
 class LoadingProtocol:
@@ -103,14 +99,6 @@ class LoadingProtocol:
             )
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValidationError(f"dt must be positive, got {self.dt}")
-
-    @property
-    def total_cycles(self) -> int:
-        return len(self.amplitude_factors) * self.cycles_per_amplitude
-
-    @property
-    def num_samples(self) -> int:
-        return self.total_cycles * self.points_per_cycle + 1
 
 
 @dataclass(frozen=True)
@@ -156,9 +144,6 @@ class BoucWenParams:
         if self.substeps < 1:
             raise ValidationError(f"substeps must be >= 1, got {self.substeps}")
 
-    def with_substeps(self, substeps: int) -> "BoucWenParams":
-        return replace(self, substeps=substeps)
-
 
 def specimen_a() -> BoucWenParams:
     """Default parameter set: moderately degrading steel-like brace."""
@@ -177,7 +162,8 @@ def generate_protocol(protocol: LoadingProtocol) -> Series:
 
     Cycles are smooth sine waves; each cycle contributes
     ``points_per_cycle`` samples and one trailing zero closes the series,
-    so the length is ``total_cycles * points_per_cycle + 1``. The series
+    so the length is ``cycles * points_per_cycle + 1``, where ``cycles`` is
+    ``len(amplitude_factors) * cycles_per_amplitude``. The series
     starts and ends at zero displacement.
     """
     ppc = protocol.points_per_cycle

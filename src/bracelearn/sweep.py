@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,12 +99,6 @@ class SweepReport:
     #: The (displacement, force) record read from the CSV, for ``emit_predictions``.
     record: tuple[oracle.Series, oracle.Series] | None = field(default=None, repr=False)
 
-    def entry(self, name: str) -> SweepEntry:
-        for item in self.entries:
-            if item.config.name == name:
-                return item
-        raise KeyError(name)
-
     def to_dict(self, include_timing: bool = False) -> dict:
         return {
             "best_model": self.best_model,
@@ -141,6 +136,8 @@ def fit_model(
     and train, with the derived per-model seed, on the windows that end in
     the training half. One pass then predicts every window: the report's
     ``predictions``, whose slices give both halves' NRMSE in physical units.
+    A run whose weights exploded without a non-finite loss, so that either
+    NRMSE is not finite, raises DivergenceError like a diverged loss does.
     """
     (train_x, train_y), _ = split_half(disp, force)
     stats = fit_norm(train_x, train_y)
@@ -157,8 +154,16 @@ def fit_model(
     model = TrainedModel(net=net, config=config, stats=stats)
     preds = report.predictions = predict_record(model, data)
     targets = denormalize(data.targets, stats)
-    report.train_nrmse = nrmse(preds[:head], targets[:head])
-    report.test_nrmse = nrmse(preds[cut:], targets[cut:])
+    # an overflowing error is the divergence signal, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        report.train_nrmse = nrmse(preds[:head], targets[:head])
+        report.test_nrmse = nrmse(preds[cut:], targets[cut:])
+    if not (math.isfinite(report.train_nrmse) and math.isfinite(report.test_nrmse)):
+        raise DivergenceError(
+            f"NRMSE became non-finite after training (epochs run: {report.epochs_run})",
+            epoch=report.epochs_run,
+            losses=report.losses,
+        )
     return model, report
 
 

@@ -2,7 +2,8 @@
 
 Training operates on normalized windowed data; the headline error metric
 (NRMSE, percent of the true force range) is computed in physical units
-after denormalization.
+after denormalization. Every update works on one vector: the batch
+gradient's ``flat`` is norm-clipped and Adam steps ``net.flat`` in place.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .dataset import NormStats, WindowedDataset, denormalize
 from .errors import DegenerateDataError, DivergenceError, ValidationError
-from .lstm import NetworkParams, backward_batch, forward_batch, parameter_arrays, predict
+from .lstm import NetworkParams, backward_batch, forward_batch, predict
 
 #: An epoch must beat the best loss by at least this much to reset patience.
 MIN_IMPROVEMENT = 1e-9
@@ -112,40 +113,38 @@ def nrmse(pred, target) -> float:
     return 100.0 * math.sqrt(float(np.mean((pred - target) ** 2))) / spread
 
 
-def clip_global_norm(arrays: list[np.ndarray], max_norm: float) -> float:
-    """Scale gradient arrays in place so their global norm is <= max_norm.
+def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
+    """Scale the gradient vector in place so its norm is <= max_norm.
 
-    Returns the pre-clip global norm. ``max_norm`` of 0 disables clipping.
+    Returns the pre-clip norm. ``max_norm`` of 0 disables clipping.
     """
-    total = math.sqrt(sum(float(np.dot(a.ravel(), a.ravel())) for a in arrays))
+    total = math.sqrt(float(np.dot(grad, grad)))
     if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for arr in arrays:
-            arr *= scale
+        grad *= max_norm / total
     return total
 
 
 class _AdamState:
-    """First/second moment accumulators, one pair per parameter block."""
+    """First/second moment accumulators for one flat parameter vector."""
 
-    def __init__(self, params: list[np.ndarray]):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    def __init__(self, params: np.ndarray):
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray], cfg: TrainConfig):
+    def step(self, params: np.ndarray, grad: np.ndarray, cfg: TrainConfig):
+        """One bias-corrected Adam update of ``params``, in place."""
         self.t += 1
         b1, b2 = cfg.adam_beta1, cfg.adam_beta2
         correction1 = 1.0 - b1**self.t
         correction2 = 1.0 - b2**self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= cfg.learning_rate * (m / correction1) / (
-                np.sqrt(v / correction2) + cfg.adam_eps
-            )
+        self.m *= b1
+        self.m += (1.0 - b1) * grad
+        self.v *= b2
+        self.v += (1.0 - b2) * grad * grad
+        params -= cfg.learning_rate * (self.m / correction1) / (
+            np.sqrt(self.v / correction2) + cfg.adam_eps
+        )
 
 
 def evaluate_nrmse(net: NetworkParams, data: WindowedDataset, stats: NormStats) -> float:
@@ -177,8 +176,7 @@ def train(
     inputs = train_set.inputs
     targets = train_set.targets
     num = train_set.num_windows
-    params = parameter_arrays(net)
-    adam = _AdamState(params)
+    adam = _AdamState(net.flat)
 
     started = time.perf_counter()
     losses: list[float] = []
@@ -201,10 +199,9 @@ def train(
                     losses=losses,
                 )
             accumulated += batch_loss * len(idx)
-            grads = backward_batch(net, tape, (2.0 / len(idx)) * residual)
-            grad_arrays = parameter_arrays(grads)
-            clip_global_norm(grad_arrays, cfg.clip_norm)
-            adam.step(params, grad_arrays, cfg)
+            grad = backward_batch(net, tape, (2.0 / len(idx)) * residual).flat
+            clip_global_norm(grad, cfg.clip_norm)
+            adam.step(net.flat, grad, cfg)
         epoch_loss = accumulated / num
         losses.append(epoch_loss)
         if best - epoch_loss >= MIN_IMPROVEMENT:

@@ -10,6 +10,7 @@ second full-depth model at a different seed.
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ def test_criterion_3_oracle_linear_limit_and_bound(default_pair):
         delta_nu=0.0, delta_eta=0.0, asym=1.0, substeps=16,
     )
     trace = oracle.simulate_trace(params, ramp)
-    reference = oracle.simulate_trace(params.with_substeps(1600), ramp)
+    reference = oracle.simulate_trace(replace(params, substeps=1600), ramp)
     bound = (params.A0 / (params.beta + params.gamma)) ** (1.0 / params.n)
     assert np.abs(trace.z).max() <= bound == 1.0
     assert np.abs(reference.z).max() <= bound

@@ -297,6 +297,24 @@ class TestTrain:
         assert code == 3
         assert "epoch" in capsys.readouterr().err
 
+    def test_exploded_weights_exit_3(self, tiny_cli_csv, tmp_path, capsys):
+        # one batch and one epoch: the loss stays finite, the weights do not
+        config = write_config(
+            tmp_path / "explode.yaml",
+            training={"max_epochs": 1, "batch_size": 10**6,
+                      "learning_rate": 1.0e200, "clip_norm": 0.0},
+            grid=[{"name": "m", "neurons": 3, "hidden_layers": 1, "lookback": 6}],
+        )
+        out = tmp_path / "m.json"
+        code = main(
+            ["train", "--config", config, "--data", str(tiny_cli_csv),
+             "--model", "m", "--out", str(out)]
+        )
+        assert code == 3
+        assert "NRMSE" in capsys.readouterr().err
+        assert not out.exists()
+        assert not out.with_suffix(".report.json").exists()
+
     def test_loss_csv(self, tiny_config, tiny_cli_csv, tmp_path):
         loss_csv = tmp_path / "loss.csv"
         assert main(
@@ -414,6 +432,31 @@ class TestSweepCommand:
         assert rows[1][:6] == ["a", "2", "1", "4", "diverged", "diverged"]
         assert rows[1][-1] == ""
 
+    def test_exploded_weights_recorded_as_diverged(self, tiny_cli_csv, tmp_path):
+        # one batch and one epoch: the loss stays finite, the weights do not
+        config = write_config(
+            tmp_path / "explode.yaml",
+            training={"max_epochs": 1, "batch_size": 10**6,
+                      "learning_rate": 1.0e200, "clip_norm": 0.0},
+            grid=[{"name": "a", "neurons": 2, "hidden_layers": 1, "lookback": 4}],
+        )
+        out_dir = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", config, "--data", str(tiny_cli_csv),
+             "--out-dir", str(out_dir)]
+        ) == 0
+        with open(out_dir / "summary.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[1][:7] == ["a", "2", "1", "4", "diverged", "diverged", "1"]
+
+        def reject(constant):
+            raise ValueError(f"report.json holds {constant}")
+
+        report = json.loads((out_dir / "report.json").read_text(), parse_constant=reject)
+        assert report["best_model"] is None
+        assert "NRMSE" in report["entries"][0]["error"]
+        assert not (out_dir / "model_a.json").exists()
+
 
 class TestPredict:
     def test_deeply_nested_model_exits_2(self, tiny_cli_csv, tmp_path, capsys):
@@ -499,6 +542,29 @@ class TestGradcheckCommand:
 
     def test_minimal_net(self):
         assert main(["gradcheck", "--hidden", "1", "--layers", "1", "--lookback", "1"]) == 0
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--eps", "0"),
+            ("--eps", "-1e-5"),
+            ("--eps", "nan"),
+            ("--eps", "inf"),
+            ("--tolerance", "nan"),
+            ("--tolerance", "-1"),
+            ("--tolerance", "inf"),
+        ],
+    )
+    def test_bad_flag_exits_2(self, capsys, flag, value):
+        assert main(["gradcheck", f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert flag.lstrip("-") in captured.err
+        assert captured.out == ""
+
+    def test_overflowing_eps_fails_without_traceback(self, capsys):
+        # the perturbed loss overflows the float range: non-finite, so FAIL
+        assert main(["gradcheck", "--eps", "1e308"]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
     def test_model_name_normalization(self, tiny_config, tiny_cli_csv, tmp_path):
         # 'Model3a'-style names resolve against grid entries with spaces

@@ -1,5 +1,7 @@
 """Cell equations, the stacked forward pass, and BPTT gradient exactness."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -95,8 +97,7 @@ class TestCellForward:
 class TestForward:
     def test_all_zero_network(self):
         net = lstm.init_network(4, 2, 1, rng=np.random.default_rng(0))
-        for arr in lstm.parameter_arrays(net):
-            arr[...] = 0.0
+        net.flat[...] = 0.0
         pred, _ = lstm.forward(net, np.random.default_rng(1).normal(size=(7, 1)))
         assert pred == 0.0
 
@@ -194,8 +195,7 @@ class TestBackward:
         net = lstm.init_network(4, 2, 1, rng=rng)
         _, tape = lstm.forward(net, rng.normal(size=(5, 1)))
         grads = lstm.backward(net, tape, 0.0)
-        for arr in lstm.parameter_arrays(grads):
-            assert np.all(arr == 0.0)
+        assert np.all(grads.flat == 0.0)
 
     def test_linear_head_gradients(self):
         rng = np.random.default_rng(9)
@@ -203,7 +203,7 @@ class TestBackward:
         _, tape = lstm.forward(net, rng.normal(size=(5, 1)))
         grads = lstm.backward(net, tape, 2.5)
         assert grads.b_out[0] == 2.5
-        np.testing.assert_allclose(grads.W_out, 2.5 * tape.h_last[0], rtol=1e-15)
+        np.testing.assert_allclose(grads.W_out, 2.5 * tape.layers[-1].h[-1][:, 0], rtol=1e-15)
 
     def test_mismatched_tape_rejected(self):
         rng = np.random.default_rng(10)
@@ -237,10 +237,29 @@ class TestGradCheck:
         # guarded denominator keeps the check meaningful near zero scale
         net = lstm.init_network(3, 2, 1, rng=np.random.default_rng(15))
         scale_rng = np.random.default_rng(16)
-        for arr in lstm.parameter_arrays(net):
-            arr[...] = scale_rng.normal(size=arr.shape) * 1e-8
+        net.flat[...] = scale_rng.normal(size=net.flat.shape) * 1e-8
         err = lstm.grad_check(net, np.random.default_rng(17).normal(size=(4, 1)), 0.0)
         assert err <= 1e-5
+
+    @pytest.mark.parametrize("entries", [slice(None), -1], ids=["all", "last"])
+    def test_nan_analytic_gradient_fails(self, monkeypatch, entries):
+        real_backward = lstm.backward
+
+        def nan_backward(net, tape, d_prediction):
+            grads = real_backward(net, tape, d_prediction)
+            grads.flat[entries] = np.nan
+            return grads
+
+        monkeypatch.setattr(lstm, "backward", nan_backward)
+        rng = np.random.default_rng(18)
+        net = lstm.init_network(3, 2, 1, rng=rng)
+        assert lstm.grad_check(net, rng.normal(size=(4, 1)), 0.7) == math.inf
+
+    def test_nan_numeric_gradient_fails(self, monkeypatch):
+        monkeypatch.setattr(lstm, "_squared_error", lambda net, window, target: math.nan)
+        rng = np.random.default_rng(19)
+        net = lstm.init_network(3, 2, 1, rng=rng)
+        assert lstm.grad_check(net, rng.normal(size=(4, 1)), 0.7) == math.inf
 
 
 class TestEngineShapes:

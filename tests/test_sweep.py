@@ -85,7 +85,7 @@ class TestRunSweep:
         grid_one = (ModelConfig("b", 4, 1, 6),)
         full = run_sweep(tiny_csv, grid_two, FAST_CFG)
         solo = run_sweep(tiny_csv, grid_one, FAST_CFG)
-        assert full.entry("b").report.losses == solo.entry("b").report.losses
+        assert full.entries[1].report.losses == solo.entries[0].report.losses
 
     def test_lookback_exceeding_half_rejected(self, tiny_csv):
         grid = (ModelConfig("too-long", 2, 1, 10_000),)
@@ -119,7 +119,7 @@ class TestRunSweep:
         grid = (ModelConfig("explodes", 3, 1, 6), ModelConfig("fine", 3, 1, 6))
         report = run_sweep(tiny_csv, grid, FAST_CFG)
         assert calls == ["explodes", "fine"]
-        failed = report.entry("explodes")
+        failed = report.entries[0]
         assert failed.failed
         assert failed.to_dict()["test_nrmse"] == "diverged"
         assert "epoch 1" in failed.error

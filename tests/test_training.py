@@ -1,6 +1,6 @@
 """Loss/metric definitions and the Adam training loop."""
 
-import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -65,24 +65,23 @@ class TestNrmse:
 
 class TestClipping:
     def test_norm_clipped_exactly(self):
-        rng = np.random.default_rng(22)
-        arrays = [rng.normal(size=(4, 4)), rng.normal(size=7)]
-        pre = np.sqrt(sum(float((a**2).sum()) for a in arrays))
+        grad = np.random.default_rng(22).normal(size=23)
+        pre = np.sqrt(float((grad**2).sum()))
         assert pre > 1.0
-        reported = clip_global_norm(arrays, 1.0)
-        post = np.sqrt(sum(float((a**2).sum()) for a in arrays))
+        reported = clip_global_norm(grad, 1.0)
+        post = np.sqrt(float((grad**2).sum()))
         assert reported == pytest.approx(pre, rel=1e-15)
         assert post == pytest.approx(1.0, abs=1e-12)
 
     def test_small_gradients_untouched(self):
-        arrays = [np.full(3, 1e-3)]
-        clip_global_norm(arrays, 1.0)
-        np.testing.assert_array_equal(arrays[0], np.full(3, 1e-3))
+        grad = np.full(3, 1e-3)
+        clip_global_norm(grad, 1.0)
+        np.testing.assert_array_equal(grad, np.full(3, 1e-3))
 
     def test_zero_disables(self):
-        arrays = [np.full(3, 100.0)]
-        clip_global_norm(arrays, 0.0)
-        np.testing.assert_array_equal(arrays[0], np.full(3, 100.0))
+        grad = np.full(3, 100.0)
+        clip_global_norm(grad, 0.0)
+        np.testing.assert_array_equal(grad, np.full(3, 100.0))
 
 
 class TestAdam:
@@ -90,25 +89,22 @@ class TestAdam:
         cfg = TrainConfig(learning_rate=0.01, clip_norm=0.0)
         rng = np.random.default_rng(23)
         net = lstm.init_network(4, 1, 1, rng=rng)
-        params = lstm.parameter_arrays(net)
-        before = [p.copy() for p in params]
-        grads = [rng.normal(size=p.shape) * 10 for p in params]
-        state = training._AdamState(params)
-        state.step(params, grads, cfg)
+        before = net.flat.copy()
+        grad = rng.normal(size=net.flat.shape) * 10
+        state = training._AdamState(net.flat)
+        state.step(net.flat, grad, cfg)
         bound = cfg.learning_rate / (1 - cfg.adam_beta1) * (1 + 1e-6)
-        for new, old in zip(params, before):
-            assert np.abs(new - old).max() <= bound
+        assert np.abs(net.flat - before).max() <= bound
 
 
 class TestTrain:
     def test_zero_learning_rate_is_identity(self):
         data = toy_dataset()
         net = lstm.init_network(5, 1, 1, rng=np.random.default_rng(24))
-        before = copy.deepcopy(lstm.parameter_arrays(net))
+        before = net.flat.copy()
         cfg = TrainConfig(learning_rate=0.0, max_epochs=5, batch_size=4)
         _, report = training.train(net, data, cfg)
-        for new, old in zip(lstm.parameter_arrays(net), before):
-            np.testing.assert_array_equal(new, old)
+        np.testing.assert_array_equal(net.flat, before)
         np.testing.assert_allclose(report.losses, report.losses[0], rtol=1e-12)
 
     def test_seed_determinism(self):
@@ -119,8 +115,7 @@ class TestTrain:
         net2 = lstm.init_network(5, 1, 1, rng=np.random.default_rng(30))
         _, report2 = training.train(net2, data, cfg)
         assert report1.losses == report2.losses
-        for a, b in zip(lstm.parameter_arrays(net1), lstm.parameter_arrays(net2)):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(net1.flat, net2.flat)
 
     def test_different_seeds_differ(self):
         data = toy_dataset()
@@ -158,6 +153,25 @@ class TestTrain:
         net = lstm.init_network(4, 1, 1, rng=np.random.default_rng(33))
         _, report = training.train(net, data, cfg)
         assert report.epochs_run == 5  # first epoch sets best, then 4 stale
+
+
+class TestPinnedTraining:
+    """A small seeded run's losses and final weights, recorded once.
+
+    Guards the bit-exact arithmetic of the training step (forward, BPTT,
+    global-norm clip and Adam) against any change that reorders it. The
+    clip ceiling is low enough that most of the 12 batches are clipped.
+    """
+
+    LOSSES = [1.0660688405668841, 0.9434957256837944, 0.8801335963907134]
+    SHA256 = "284c793fddf72c4c341dc3c8c730c2e70349100e1986c3ac239f9c76eb787c18"
+
+    def test_losses_and_weights_are_pinned(self):
+        net = lstm.init_network(4, 2, 1, rng=np.random.default_rng(34))
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=3, batch_size=4, clip_norm=0.5, seed=35)
+        _, report = training.train(net, toy_dataset(), cfg)
+        assert report.losses == self.LOSSES
+        assert hashlib.sha256(net.flat.tobytes()).hexdigest() == self.SHA256
 
 
 def overfit_probe_dataset(default_data, num_windows=8, lookback=30):
