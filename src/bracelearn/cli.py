@@ -32,26 +32,23 @@ _SPECIMENS = {"a": oracle.specimen_a, "b": oracle.specimen_b}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    oracle: BoucWenParams
-    protocol: LoadingProtocol
-    training: TrainConfig
-    grid: tuple[ModelConfig, ...]
+    """The YAML config: one section per field; an omitted or null one is its default."""
 
-
-#: The config sections that hold one dataclass each; ``grid`` is a list.
-_SECTIONS = {"oracle": BoucWenParams, "protocol": LoadingProtocol, "training": TrainConfig}
+    oracle: BoucWenParams = BoucWenParams()
+    protocol: LoadingProtocol = LoadingProtocol()
+    training: TrainConfig = TrainConfig()
+    grid: tuple[ModelConfig, ...] = DEFAULT_GRID
 
 
 def load_config(path=None) -> ExperimentConfig:
-    """Parse the YAML experiment config, each section through ``load_fields``.
+    """Parse the YAML experiment config in one ``load_fields`` call.
 
     A missing or ``null`` section means its defaults; grid names must be
     plain file names with distinct ``_key``s, so ``--model`` picks exactly
     one. Any malformed input raises ConfigError.
     """
-    if path is None:
-        doc = {}
-    else:
+    doc = {}
+    if path is not None:
         path = Path(path)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
@@ -65,38 +62,22 @@ def load_config(path=None) -> ExperimentConfig:
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: config must be a mapping of sections")
 
-    label = str(path) if path is not None else "<defaults>"
-    unknown = [name for name in doc if name != "grid" and name not in _SECTIONS]
-    if unknown:
-        raise ConfigError(f"{label}: unknown config section '{unknown[0]}'")
-    sections = {
-        name: load_fields(cls, {} if doc.get(name) is None else doc[name], name, ConfigError)
-        for name, cls in _SECTIONS.items()
-    }
-    grid_raw = doc.get("grid")
-    if grid_raw is None:
-        grid = DEFAULT_GRID
-    elif not isinstance(grid_raw, list) or not grid_raw:
-        raise ConfigError(f"{label}: 'grid' must be a non-empty list of models")
-    else:
-        grid = tuple(
-            load_fields(ModelConfig, item, f"grid[{index}]", ConfigError)
-            for index, item in enumerate(grid_raw)
-        )
-    keys = [_key(config.name) for config in grid]
-    for index, (config, key) in enumerate(zip(grid, keys)):
+    config = load_fields(ExperimentConfig, doc, "", ConfigError)
+    grid = config.grid
+    keys = [_key(model.name) for model in grid]
+    for index, (model, key) in enumerate(zip(grid, keys)):
         where = f"grid[{index}].name"
-        if any(char in config.name for char in "/\\\0"):
-            message = f"{config.name!r} must be a plain file name, without '/', '\\' or NUL"
-            raise ConfigError(f"{label}: {where} {message}", field=where)
+        if any(char in model.name for char in "/\\\0"):
+            message = f"{model.name!r} must be a plain file name, without '/', '\\' or NUL"
+            raise ConfigError(f"{path}: {where} {message}", field=where)
         if key in keys[:index]:
             first = keys.index(key)
             raise ConfigError(
-                f"{label}: grid[{first}] {grid[first].name!r} and {where} {config.name!r} "
+                f"{path}: grid[{first}] {grid[first].name!r} and {where} {model.name!r} "
                 f"are ambiguous: both read as {key!r}",
                 field=where,
             )
-    return ExperimentConfig(grid=grid, **sections)
+    return config
 
 
 def _slug(name: str) -> str:
@@ -206,8 +187,7 @@ def cmd_sweep(args) -> int:
     )
     for entry in report.entries:
         slug = _slug(entry.config.name)
-        if entry.report is not None:
-            _write_loss_csv(out_dir / f"loss_{slug}.csv", entry.report.losses)
+        _write_loss_csv(out_dir / f"loss_{slug}.csv", entry.report.losses)
         if entry.model is not None:
             save_model(out_dir / f"model_{slug}.json", entry.model)
             sweep_mod.emit_predictions(

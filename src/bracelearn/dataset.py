@@ -10,7 +10,7 @@ each window predicting the force at its own last step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -98,14 +98,8 @@ def split_half(x: Series, y: Series):
     if n < 4:
         raise ValidationError(f"need at least 4 samples to split, got {n}")
     cut = split_point(n)
-    train = (
-        Series(dt=x.dt, values=x.values[:cut], unit=x.unit),
-        Series(dt=y.dt, values=y.values[:cut], unit=y.unit),
-    )
-    test = (
-        Series(dt=x.dt, values=x.values[cut:], unit=x.unit),
-        Series(dt=y.dt, values=y.values[cut:], unit=y.unit),
-    )
+    train = tuple(replace(s, values=s.values[:cut]) for s in (x, y))
+    test = tuple(replace(s, values=s.values[cut:], t0=s.t0 + cut * s.dt) for s in (x, y))
     return train, test
 
 

@@ -54,34 +54,43 @@ class TrainedModel:
         return predict(self.net, windows)
 
 
-def _model_dict(model: TrainedModel) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "model": dataclasses.asdict(model.config),
-        "normalization": dataclasses.asdict(model.stats),
-        "parameters": {
-            "cells": [
-                {f.name: getattr(cell, f.name).tolist() for f in dataclasses.fields(cell)}
-                for cell in model.net.cells
-            ],
-            "W_out": model.net.W_out.tolist(),
-            "b_out": float(model.net.b_out[0]),
-        },
-    }
+@dataclass
+class _Parameters:
+    """The ``parameters`` section of a model file: a NetworkParams, ``b_out`` as a scalar."""
+
+    cells: list[CellParams]
+    W_out: np.ndarray
+    b_out: float
+
+
+@dataclass
+class _ModelFile:
+    """The model JSON v1 document, read by ``load_model`` and written by ``save_model``."""
+
+    format_version: int
+    model: ModelConfig
+    normalization: NormStats
+    parameters: _Parameters
+
+
+def _plain(value):
+    """A dataclass tree as JSON values; unlike ``dataclasses.asdict``, no array is copied."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value
 
 
 def save_model(path, model: TrainedModel) -> None:
     """Write the model as a single versioned JSON document."""
+    params = _Parameters(model.net.cells, model.net.W_out, float(model.net.b_out[0]))
+    tree = _ModelFile(FORMAT_VERSION, model.config, model.stats, params)
     with open(path, "w") as handle:
-        json.dump(_model_dict(model), handle, indent=2, sort_keys=True)
+        json.dump(_plain(tree), handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def _require(mapping: dict, key: str, where: str = ""):
-    path = f"{where}.{key}" if where else key
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise ModelFormatError(f"model file is missing field '{path}'", field=path)
-    return mapping[key]
 
 
 def _integer(value) -> int:
@@ -130,9 +139,25 @@ _KINDS = {
 }
 
 
-def _convert_field(kind, value, path: str, error: type[ValidationError]):
+def _nested(kind) -> bool:
+    """Whether ``load_fields`` descends into a field: a dataclass or a list/tuple of them."""
+    return dataclasses.is_dataclass(kind) or typing.get_origin(kind) in (list, tuple) and (
+        dataclasses.is_dataclass(typing.get_args(kind)[0])
+    )
+
+
+def _load(kind, value, path: str, error: type[ValidationError]):
+    """Convert one field's value by its annotation (``_KINDS`` for a scalar or array)."""
+    if dataclasses.is_dataclass(kind):
+        return load_fields(kind, value, path, error)
+    if _nested(kind):  # a list or tuple of dataclasses
+        if not isinstance(value, list) or not value:
+            raise error(f"{path}: expected a non-empty list, got {value!r:.60}", field=path)
+        item_cls = typing.get_args(kind)[0]
+        items = (load_fields(item_cls, v, f"{path}[{i}]", error) for i, v in enumerate(value))
+        return typing.get_origin(kind)(items)
     try:
-        return kind(value)
+        return _KINDS[kind](value)
     # OverflowError: math.isfinite of an integer beyond the float range
     except (ValueError, OverflowError) as exc:
         raise error(f"{path}: {exc}", field=path) from None
@@ -141,26 +166,32 @@ def _convert_field(kind, value, path: str, error: type[ValidationError]):
 def load_fields(cls, raw, where: str, error: type[ValidationError]):
     """Build dataclass ``cls`` from ``raw``, a mapping read from a file.
 
-    Every field is converted by its annotation (``_KINDS``); a missing
-    field without a default, an unknown key, a malformed value or a value
-    that ``cls`` itself rejects raises ``error`` naming the dotted path,
-    such as ``training.batch_size`` or ``parameters.cells[0].Wh_f``.
+    Descends into every dataclass or list-of-dataclass field, so one call
+    with ``where=""`` reads a whole file. A missing field without a default,
+    an unknown key, a malformed value or a value that a dataclass rejects
+    raises ``error`` naming the path, such as ``parameters.cells[0].Wh_f``.
+    A null is malformed, except in a defaulted nested field (a config
+    section or ``grid``), where it means the default.
     """
     if not isinstance(raw, dict):
-        raise error(f"{where}: expected a mapping, got {type(raw).__name__}", field=where)
+        message = f"expected a mapping, got {type(raw).__name__}"
+        raise error(f"{where or 'top level'}: {message}", field=where or None)
     fields = dataclasses.fields(cls)
     names = {f.name for f in fields}
     for key in raw:
         if key not in names:
-            raise error(f"{where}.{key}: unknown field", field=f"{where}.{key}")
+            path = f"{where}.{key}" if where else str(key)
+            raise error(f"{path}: unknown field", field=path)
     hints = typing.get_type_hints(cls)
     values = {}
     for f in fields:
-        path = f"{where}.{f.name}"
-        if f.name in raw:
-            values[f.name] = _convert_field(_KINDS[hints[f.name]], raw[f.name], path, error)
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise error(f"{path}: missing field", field=path)
+        path = f"{where}.{f.name}" if where else f.name
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if f.name not in raw or not required and raw[f.name] is None and _nested(hints[f.name]):
+            if required:
+                raise error(f"{path}: missing field", field=path)
+        else:
+            values[f.name] = _load(hints[f.name], raw[f.name], path, error)
     try:
         return cls(**values)
     except ValidationError as exc:
@@ -176,35 +207,16 @@ def load_model(path) -> TrainedModel:
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
 
-    version = _require(doc, "format_version")
-    if version != FORMAT_VERSION:
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version is not None and version != FORMAT_VERSION:
         raise ModelFormatError(
             f"unsupported format_version {version!r}; this build reads version {FORMAT_VERSION}",
             field="format_version",
         )
-    config = load_fields(ModelConfig, _require(doc, "model"), "model", ModelFormatError)
-    stats = load_fields(NormStats, _require(doc, "normalization"), "normalization", ModelFormatError)
-    params_doc = _require(doc, "parameters")
-    cells_doc = _require(params_doc, "cells", "parameters")
-    if not isinstance(cells_doc, list):
-        raise ModelFormatError(
-            "model field 'parameters.cells' must be a list of cells",
-            field="parameters.cells",
-        )
-    cells = [
-        load_fields(CellParams, cell_doc, f"parameters.cells[{index}]", ModelFormatError)
-        for index, cell_doc in enumerate(cells_doc)
-    ]
-    w_out = _convert_field(
-        _float_array, _require(params_doc, "W_out", "parameters"),
-        "parameters.W_out", ModelFormatError,
-    )
-    b_out = _convert_field(
-        _real, _require(params_doc, "b_out", "parameters"),
-        "parameters.b_out", ModelFormatError,
-    )
+    file = load_fields(_ModelFile, doc, "", ModelFormatError)
+    config, params = file.model, file.parameters
     try:
-        net = NetworkParams(cells=cells, W_out=w_out, b_out=np.array([b_out]))
+        net = NetworkParams(cells=params.cells, W_out=params.W_out, b_out=np.array([params.b_out]))
     except ValidationError as exc:
         raise ModelFormatError(f"parameters are malformed: {exc}", field="parameters") from exc
     if (net.num_layers, net.hidden_size) != (config.hidden_layers, config.neurons):
@@ -213,4 +225,4 @@ def load_model(path) -> TrainedModel:
             f"neurons but the file holds {net.num_layers} of {net.hidden_size}",
             field="parameters",
         )
-    return TrainedModel(net=net, config=config, stats=stats)
+    return TrainedModel(net=net, config=config, stats=file.normalization)

@@ -34,7 +34,7 @@ DEFAULT_AMPLITUDE_FACTORS = (
 
 @dataclass(frozen=True)
 class Series:
-    """A uniformly sampled scalar time history.
+    """A uniformly sampled scalar time history: sample i is at ``t0 + i*dt``.
 
     ``unit`` tags the physical quantity: ``"displacement"`` or ``"force"``.
     """
@@ -42,12 +42,15 @@ class Series:
     dt: float
     values: np.ndarray
     unit: str
+    t0: float = 0.0
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValidationError(f"dt must be finite and positive, got {self.dt}")
+        if not math.isfinite(self.t0):
+            raise ValidationError(f"t0 must be finite, got {self.t0}")
         if values.ndim != 1 or values.size == 0:
             raise ValidationError("values must be a non-empty one-dimensional array")
         if self.unit not in (DISPLACEMENT, FORCE):
@@ -89,6 +92,11 @@ class LoadingProtocol:
             b <= a for a, b in zip(self.amplitude_factors, self.amplitude_factors[1:])
         ):
             raise ValidationError("amplitude_factors must be strictly increasing")
+        if not math.isfinite(self.delta_y * self.amplitude_factors[-1]):
+            raise ValidationError(
+                f"delta_y {self.delta_y} times the largest amplitude factor "
+                f"{self.amplitude_factors[-1]} overflows the float range"
+            )
         if self.cycles_per_amplitude < 1:
             raise ValidationError(
                 f"cycles_per_amplitude must be >= 1, got {self.cycles_per_amplitude}"
@@ -208,12 +216,6 @@ def simulate_trace(params: BoucWenParams, disp: Series) -> SimulationTrace:
     dt = disp.dt
     num = len(x)
 
-    v = np.zeros(num)
-    if num > 1:
-        v[0] = (x[1] - x[0]) / dt
-        v[-1] = (x[-1] - x[-2]) / dt
-        v[1:-1] = (x[2:] - x[:-2]) / (2.0 * dt)
-
     k = params.k
     alpha = params.alpha
     a0 = params.A0
@@ -244,8 +246,13 @@ def simulate_trace(params: BoucWenParams, disp: Series) -> SimulationTrace:
     e_hist = np.zeros(num)
     z_cur = 0.0
     e_cur = 0.0
-    # a blowing-up state is reported via DivergenceError, not numpy warnings
+    # a blowing-up rate or state is reported via DivergenceError, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        v = np.zeros(num)
+        if num > 1:
+            v[0] = (x[1] - x[0]) / dt
+            v[-1] = (x[-1] - x[-2]) / dt
+            v[1:-1] = (x[2:] - x[:-2]) / (2.0 * dt)
         for i in range(num - 1):
             v0 = v[i]
             dv = v[i + 1] - v0
@@ -268,12 +275,12 @@ def simulate_trace(params: BoucWenParams, disp: Series) -> SimulationTrace:
 
     force = alpha * k * x + one_minus_alpha_k * z_hist
     return SimulationTrace(
-        force=Series(dt=dt, values=force, unit=FORCE), z=z_hist, energy=e_hist
+        force=Series(dt=dt, values=force, unit=FORCE, t0=disp.t0), z=z_hist, energy=e_hist
     )
 
 
 def write_csv(path, disp: Series, force: Series) -> None:
-    """Write a ``t,displacement,force`` CSV, one row per sample."""
+    """Write a ``t,displacement,force`` CSV, one row per sample, ``t`` from ``disp.t0``."""
     if len(disp) != len(force):
         raise ValidationError(
             f"series length mismatch: {len(disp)} displacement vs {len(force)} force"
@@ -284,7 +291,7 @@ def write_csv(path, disp: Series, force: Series) -> None:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
         for i, (d, f) in enumerate(zip(disp.values, force.values)):
-            writer.writerow([repr(i * disp.dt), repr(float(d)), repr(float(f))])
+            writer.writerow([repr(disp.t0 + i * disp.dt), repr(float(d)), repr(float(f))])
 
 
 def read_csv(path, raw: bytes | None = None) -> tuple[Series, Series]:
@@ -293,10 +300,11 @@ def read_csv(path, raw: bytes | None = None) -> tuple[Series, Series]:
     ``raw``, when given, is the file's content already read (so a caller
     can hash the very bytes that were parsed); ``path`` then only names
     the file in messages. A row with the wrong number of fields, a
-    non-numeric cell, a non-finite value or a ``t`` off the uniform grid
-    from the first to the last row (by more than 1e-6 of the step) raises
-    ValidationError naming the file and line. ``dt`` is the first step,
-    ``t[1] - t[0]``.
+    non-numeric cell, a non-finite value, a ``t`` off the uniform grid
+    from the first to the last row (by more than 1e-6 of the step) or a
+    ``t`` column that does not increase raises ValidationError naming the
+    file and line. ``dt`` is the first step, ``t[1] - t[0]``, and ``t0``
+    the first ``t``.
     """
     path = Path(path)
     if raw is None:
@@ -333,7 +341,11 @@ def read_csv(path, raw: bytes | None = None) -> tuple[Series, Series]:
             f"{path}, line {row + 2}: non-uniform t column: t = {float(t[row])!r}, "
             f"but a uniform step of {step!r} puts it at {float(grid[row])!r}"
         )
-    dt = float(t[1] - t[0])
-    disp = Series(dt=dt, values=np.array([r[1] for r in rows]), unit=DISPLACEMENT)
-    force = Series(dt=dt, values=np.array([r[2] for r in rows]), unit=FORCE)
+    dt, t0 = float(t[1] - t[0]), float(t[0])
+    if not dt > 0:  # a uniform column that falls or stands still
+        raise ValidationError(
+            f"{path}, line 3: t must increase, but {float(t[1])!r} follows {t0!r}"
+        )
+    disp = Series(dt=dt, values=np.array([r[1] for r in rows]), unit=DISPLACEMENT, t0=t0)
+    force = Series(dt=dt, values=np.array([r[2] for r in rows]), unit=FORCE, t0=t0)
     return disp, force

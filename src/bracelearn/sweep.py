@@ -21,7 +21,7 @@ import numpy as np
 
 from . import oracle
 from .dataset import WindowedDataset, denormalize, fit_norm, split_half, split_point, window
-from .errors import DivergenceError, InsufficientDataError
+from .errors import DegenerateDataError, DivergenceError, InsufficientDataError
 from .lstm import init_network, parameter_count
 from .model import ModelConfig, TrainedModel
 from .training import TrainConfig, TrainReport, nrmse, train
@@ -61,7 +61,8 @@ class SweepEntry:
     """Result of one model's training run (or its failure)."""
 
     config: ModelConfig
-    report: TrainReport | None = None
+    #: A diverged entry's report is partial: its losses and epochs run.
+    report: TrainReport
     model: TrainedModel | None = None
     error: str | None = None
 
@@ -82,8 +83,7 @@ class SweepEntry:
             out["train_nrmse"] = DIVERGED
             out["test_nrmse"] = DIVERGED
             out["error"] = self.error
-            if self.report is not None:
-                out["epochs_run"] = self.report.epochs_run
+            out["epochs_run"] = self.report.epochs_run
         else:
             out.update(self.report.to_dict(include_timing=include_timing))
         return out
@@ -110,13 +110,28 @@ class SweepReport:
         return json.dumps(self.to_dict(include_timing=include_timing), indent=2, sort_keys=True)
 
 
-def _check_lookback(config: ModelConfig, n: int) -> None:
-    """Both halves of an n-sample record must hold a full window."""
-    half = n - split_point(n)  # the held-out half, never longer than the training half
+def _check_record(config: ModelConfig, force: oracle.Series) -> None:
+    """Check, before any training, that ``fit_model`` can score ``config``.
+
+    Both halves of the record must hold a full window, and the force at
+    the windows' last steps, which each half's NRMSE is measured against
+    (``fit_model``'s ``targets[:head]`` and ``targets[cut:]``), must vary.
+    """
+    n = len(force)
+    cut = split_point(n)
+    half = n - cut  # the held-out half, never longer than the training half
     if config.lookback > half:
         raise InsufficientDataError(
             f"{config.name}: lookback {config.lookback} exceeds half the series length ({half})"
         )
+    ends = force.values[config.lookback - 1 :]  # window w's target is ends[w]
+    halves = {"training": ends[: cut - config.lookback + 1], "held-out": ends[cut:]}
+    for name, targets in halves.items():
+        if np.ptp(targets) == 0:
+            raise DegenerateDataError(
+                f"{config.name}: the force at the window ends of the {name} half has no "
+                f"spread ({targets.size} samples); NRMSE is undefined"
+            )
 
 
 def predict_record(model: TrainedModel, data: WindowedDataset) -> np.ndarray:
@@ -141,7 +156,7 @@ def fit_model(
     """
     (train_x, train_y), _ = split_half(disp, force)
     stats = fit_norm(train_x, train_y)
-    _check_lookback(config, len(disp))
+    _check_record(config, force)
     data = window(disp, force, stats, config.lookback)
     # window w ends at sample w + lookback - 1: the first ``head`` end in the
     # training half, and those from ``cut`` on lie wholly in the held-out half
@@ -183,7 +198,7 @@ def run_sweep(
     raw = Path(data_csv).read_bytes()
     disp, force = oracle.read_csv(data_csv, raw)
     for config in grid:
-        _check_lookback(config, len(disp))
+        _check_record(config, force)
 
     report = SweepReport(data_fingerprint=fingerprint(raw), record=(disp, force))
     for config in grid:
@@ -221,7 +236,7 @@ def write_summary_csv(report: SweepReport, path, include_timing: bool = False) -
             else:
                 train_nrmse = repr(entry.report.train_nrmse)
                 test_nrmse = repr(entry.report.test_nrmse)
-            epochs = entry.report.epochs_run if entry.report is not None else ""
+            epochs = entry.report.epochs_run
             seconds = (
                 repr(entry.report.wall_seconds)
                 if include_timing and not entry.failed
@@ -248,4 +263,4 @@ def emit_predictions(model: TrainedModel, disp, force, preds, out_csv) -> None:
         writer.writerow(["t", "displacement", "force_true", "force_pred", "split"])
         for i, (x, f, pred) in enumerate(rows):
             split = "train" if i < cut else "test"
-            writer.writerow([repr(i * disp.dt), repr(x), repr(f), pred, split])
+            writer.writerow([repr(disp.t0 + i * disp.dt), repr(x), repr(f), pred, split])

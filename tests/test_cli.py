@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bracelearn import lstm, oracle
+from bracelearn import sweep as sweep_mod
 from bracelearn.cli import load_config, main
 from bracelearn.dataset import NormStats
 from bracelearn.errors import ConfigError
 from bracelearn.model import ModelConfig, TrainedModel, save_model
+from bracelearn.sweep import DEFAULT_GRID
 
 TINY_PROTOCOL = {
     "delta_y": 0.1,
@@ -104,6 +107,21 @@ class TestGenerate:
         assert "sample" in capsys.readouterr().err
 
 
+    def test_overflowing_peak_exits_2(self, tmp_path, capsys):
+        code = main(["generate", "--out", str(tmp_path / "d.csv"), "--delta-y", "1e308"])
+        assert code == 2
+        assert "delta_y" in capsys.readouterr().err
+
+    def test_overflowing_rate_exits_3_without_warnings(self, tmp_path, capsys):
+        # the peak 1e308 is finite, but the finite-difference rate is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["generate", "--out", str(tmp_path / "d.csv"), "--delta-y", "1e307"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: hysteresis state became non-finite") and "Warning" not in err
+
+
 class TestStrictConfig:
     def test_misspelled_key_rejected(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.yaml", oracle={"alhpa": 0.1})
@@ -148,11 +166,17 @@ class TestStrictConfig:
             # safe_dump writes this string as a plain `1e-3`, which YAML 1.1
             # reads back as a string
             (lambda c: c["training"].update(learning_rate="1e-3"), "training.learning_rate"),
+            # null means the default only for a whole section or grid
+            (lambda c: c["training"].update(seed=None), "training.seed: expected an integer"),
+            (lambda c: c["oracle"].update(k=None), "oracle.k: expected a finite number"),
+            (lambda c: c.update(grid={}), "grid: expected a non-empty list"),
+            (lambda c: c.update(grid=[]), "grid: expected a non-empty list"),
         ],
         ids=["grid-missing-lookback", "neurons-string", "neurons-fraction", "name-int",
              "batch-size-fraction", "max-epochs-fraction", "substeps-fraction",
              "cycles-fraction", "seed-fraction", "clip-norm-nan", "points-fraction",
-             "delta-nu-nan", "learning-rate-string"],
+             "delta-nu-nan", "learning-rate-string", "seed-null", "k-null", "grid-mapping",
+             "grid-empty"],
     )
     def test_malformed_field_exits_2(
         self, tiny_config, tiny_cli_csv, tmp_path, capsys, mutate, field
@@ -225,6 +249,12 @@ class TestStrictConfig:
         assert config.training.batch_size == 64
 
 
+    def test_null_grid_means_default_grid(self, tmp_path):
+        config = load_config(write_config(tmp_path / "c.yaml", grid=None, oracle=None))
+        assert config.grid == DEFAULT_GRID
+        assert config.oracle == oracle.BoucWenParams()
+
+
 class TestTrain:
     def test_train_writes_model_and_report(self, tiny_config, tiny_cli_csv, tmp_path, capsys):
         out = tmp_path / "model.json"
@@ -283,6 +313,42 @@ class TestTrain:
         )
         assert code == 2
         assert "lookback" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flat", ["training", "held-out"])
+    def test_constant_force_half_rejected_before_training(
+        self, tmp_path, capsys, monkeypatch, flat
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train must not run")
+
+        monkeypatch.setattr(sweep_mod, "train", no_training)
+        # 40 samples, split at 20; lookback 4 scores the force at samples
+        # 3..19 (training half) and 23..39 (held-out half)
+        if flat == "training":
+            force = [float(i) if i < 3 or i >= 20 else 5.0 for i in range(40)]
+        else:
+            force = [math.cos(i / 3) if i < 20 else 0.0 for i in range(40)]
+        rows = [f"{i * 0.01!r},{math.sin(i / 3)!r},{f!r}" for i, f in enumerate(force)]
+        data = tmp_path / "flat.csv"
+        data.write_text("\n".join(["t,displacement,force", *rows]) + "\n")
+        config = write_config(
+            tmp_path / "c.yaml",
+            grid=[{"name": "m", "neurons": 2, "hidden_layers": 1, "lookback": 4}],
+            training={"max_epochs": 1},
+        )
+        message = f"m: the force at the window ends of the {flat} half has no spread (17 samples)"
+        out = tmp_path / "m.json"
+        code = main(["train", "--config", config, "--data", str(data),
+                     "--model", "m", "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        out_dir = tmp_path / "study"
+        code = main(["sweep", "--config", config, "--data", str(data),
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
     def test_divergent_training_exits_3(self, tiny_config, tiny_cli_csv, tmp_path, capsys):
         config = write_config(
@@ -490,6 +556,22 @@ class TestPredict:
         assert code == 2
         assert "model.name" in capsys.readouterr().err
 
+    def test_prediction_csv_keeps_first_t(self, tmp_path):
+        data = tmp_path / "late.csv"
+        rows = [f"{5.0 + 0.5 * i!r},{math.sin(i)!r},{math.cos(i)!r}" for i in range(10)]
+        data.write_text("\n".join(["t,displacement,force", *rows]) + "\n")
+        net = lstm.init_network(3, 1, 1, rng=np.random.default_rng(0))
+        stats = NormStats(mean_x=0.0, std_x=1.0, mean_y=0.0, std_y=1.0)
+        model_path = tmp_path / "m.json"
+        save_model(model_path,
+                   TrainedModel(net=net, config=ModelConfig("m", 3, 1, 4), stats=stats))
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--out", str(out)]) == 0
+        with open(out) as handle:
+            times = [row["t"] for row in csv.DictReader(handle)]
+        assert times == [repr(5.0 + 0.5 * i) for i in range(10)]
+
     @pytest.mark.parametrize(
         "mutate, named",
         [
@@ -504,9 +586,17 @@ class TestPredict:
             (lambda doc: doc["parameters"]["W_out"].__setitem__(0, float("inf")),
              ["non-finite"]),
             (lambda doc: doc["model"].update(nuerons=3), ["model.nuerons"]),
+            (lambda doc: doc.pop("parameters"), ["parameters: missing field"]),
+            (lambda doc: doc["parameters"]["cells"].__setitem__(0, [1.0]),
+             ["parameters.cells[0]: expected a mapping"]),
+            (lambda doc: doc["parameters"].update(cells=[]),
+             ["parameters.cells: expected a non-empty list"]),
+            (lambda doc: doc["normalization"].update(mean_x=None),
+             ["normalization.mean_x: expected a finite number"]),
         ],
         ids=["neurons-not-int", "neurons-fraction", "layers-bool", "lookback-fraction",
-             "cells-not-list", "wx-shape", "w-out-inf", "unknown-model-key"],
+             "cells-not-list", "wx-shape", "w-out-inf", "unknown-model-key",
+             "missing-parameters", "cell-not-mapping", "no-cells", "null-scalar"],
     )
     def test_malformed_model_field(
         self, tiny_config, tiny_cli_csv, tmp_path, capsys, mutate, named

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,7 +80,10 @@ class TestPinnedFile:
 
 class TestFormatErrors:
     def _doc(self, trained):
-        return model._model_dict(trained)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "saved.json"
+            model.save_model(path, trained)
+            return json.loads(path.read_text())
 
     def test_missing_normalization_field(self, trained, tmp_path):
         doc = self._doc(trained)
@@ -116,6 +121,13 @@ class TestFormatErrors:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match="layers"):
+            model.load_model(path)
+
+
+    def test_not_a_mapping(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ModelFormatError, match="expected a mapping, got list"):
             model.load_model(path)
 
 

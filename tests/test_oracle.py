@@ -53,6 +53,9 @@ class TestLoadingProtocol:
             (dict(cycles_per_amplitude=0), "cycles_per_amplitude"),
             (dict(points_per_cycle=7), "points_per_cycle"),
             (dict(dt=0.0), "dt"),
+            # 10 x delta_y, the largest default peak, is past the float range
+            (dict(delta_y=1e308), "delta_y"),
+            (dict(delta_y=2e307), "delta_y"),
         ],
     )
     def test_validation_names_field(self, kwargs, message):
@@ -265,3 +268,27 @@ class TestCsv:
         code = main(["train", "--data", str(path), "--model", "Model 1", "--out", str(out)])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("times", [(2, 1, 0), (1, 1, 1)], ids=["decreasing", "constant"])
+    def test_t_must_increase(self, tmp_path, capsys, times):
+        from bracelearn.cli import main
+
+        path = tmp_path / "bad.csv"
+        rows = "".join(f"{t},{i},{i}\n" for i, t in enumerate(times))
+        path.write_text("t,displacement,force\n" + rows)
+        with pytest.raises(ValidationError, match="bad.csv, line 3: t must increase"):
+            oracle.read_csv(path)
+        code = main(["train", "--data", str(path), "--model", "Model 1",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "bad.csv, line 3" in capsys.readouterr().err
+
+    def test_first_t_kept(self, tmp_path):
+        path = tmp_path / "late.csv"
+        rows = "".join(f"{5.0 + 0.5 * i!r},{float(i)!r},{float(-i)!r}\n" for i in range(10))
+        path.write_text("t,displacement,force\n" + rows)
+        disp, force = oracle.read_csv(path)
+        assert (disp.t0, force.t0, disp.dt) == (5.0, 5.0, 0.5)
+        copy = tmp_path / "copy.csv"
+        oracle.write_csv(copy, disp, force)
+        assert copy.read_text() == path.read_text()

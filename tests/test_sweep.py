@@ -7,7 +7,7 @@ import pytest
 
 from bracelearn import dataset, lstm, sweep, training
 from bracelearn.dataset import IDENTITY_STATS
-from bracelearn.errors import ValidationError
+from bracelearn.errors import DegenerateDataError, ValidationError
 from bracelearn.model import ModelConfig, TrainedModel
 from bracelearn.sweep import (
     DEFAULT_GRID, derive_seed, emit_predictions, fit_model, predict_record, run_sweep,
@@ -90,6 +90,16 @@ class TestRunSweep:
     def test_lookback_exceeding_half_rejected(self, tiny_csv):
         grid = (ModelConfig("too-long", 2, 1, 10_000),)
         with pytest.raises(ValidationError, match="lookback"):
+            run_sweep(tiny_csv, grid, FAST_CFG)
+
+    def test_one_window_held_out_rejected_before_training(self, tiny_csv, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train must not run")
+
+        monkeypatch.setattr(sweep, "train", no_training)
+        # 361 samples: lookback 180 fills the held-out half with one window
+        grid = (ModelConfig("edge", 2, 1, 180),)
+        with pytest.raises(DegenerateDataError, match=r"held-out half has no spread \(1 samples"):
             run_sweep(tiny_csv, grid, FAST_CFG)
 
     def test_deterministic_reports(self, tiny_csv):
