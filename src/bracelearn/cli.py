@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 import yaml
 
 from . import lstm, oracle, sweep as sweep_mod
-from .errors import ConfigError, DivergenceError, ValidationError
+from .errors import ConfigError, DivergenceError, ValidationError, at_least, check
 from .model import ModelConfig, load_fields, load_model, save_model
 from .oracle import BoucWenParams, LoadingProtocol
 from .sweep import DEFAULT_GRID, fit_model
@@ -175,10 +174,12 @@ def cmd_sweep(args) -> int:
     _check_input(data)
     out_dir = Path(args.out_dir)
     _check_parent(out_dir)
-    out_dir.mkdir(exist_ok=True)
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"output path exists and is not a directory: {out_dir}")
 
     train_cfg = _apply_seed(config.training, args.seed)
     report = sweep_mod.run_sweep(data, config.grid, train_cfg)
+    out_dir.mkdir(exist_ok=True)  # only now, so a rejected sweep leaves no directory
     (out_dir / "report.json").write_text(
         report.to_json(include_timing=args.timing) + "\n"
     )
@@ -220,8 +221,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise ValidationError(f"tolerance must be finite and >= 0, got {args.tolerance}")
+    check(args, tolerance=at_least(0))
     rng = np.random.default_rng(args.seed)
     net = lstm.init_network(args.hidden, args.layers, 1, rng=rng)
     window = rng.normal(size=(args.lookback, 1))

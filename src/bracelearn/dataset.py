@@ -9,14 +9,19 @@ each window predicting the force at its own last step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateDataError, InsufficientDataError, ValidationError
+from .errors import (
+    FINITE, POSITIVE, DegenerateDataError, InsufficientDataError, ValidationError, check, count,
+)
 from .oracle import Series
+
+
+#: A standard deviation to divide by: a zero one means the data has no spread.
+_SPREAD = POSITIVE._replace(error=DegenerateDataError)
 
 
 @dataclass(frozen=True)
@@ -29,14 +34,7 @@ class NormStats:
     std_y: float
 
     def __post_init__(self):
-        for name in ("mean_x", "std_x", "mean_y", "std_y"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if self.std_x <= 0 or self.std_y <= 0:
-            raise DegenerateDataError(
-                f"standard deviations must be positive, got std_x={self.std_x}, "
-                f"std_y={self.std_y}"
-            )
+        check(self, mean_x=FINITE, mean_y=FINITE, std_x=_SPREAD, std_y=_SPREAD)
 
 
 #: Pass-through statistics (mean 0, std 1), handy for tests and fixtures.
@@ -59,8 +57,7 @@ class WindowedDataset:
     input_dim: int
 
     def __post_init__(self):
-        if self.lookback < 1 or self.input_dim < 1:
-            raise ValidationError("lookback and input_dim must be >= 1")
+        check(self, lookback=count(1), input_dim=count(1))
         if self.inputs.shape != (len(self.targets), self.lookback, self.input_dim):
             raise ValidationError(
                 f"inputs shape {self.inputs.shape} inconsistent with "

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of field values."""
+
+import math
+from typing import Callable, NamedTuple
 
 
 class BraceLearnError(Exception):
@@ -50,3 +53,56 @@ class DivergenceError(BraceLearnError, RuntimeError):
 
 class ModelFormatError(ValidationError):
     """A serialized model file is missing or has a malformed field."""
+
+
+class Rule(NamedTuple):
+    """A condition a field value must meet: ``<field> must be <text>``."""
+
+    text: str
+    holds: Callable[[object], bool]
+    error: type[ValidationError] = ValidationError
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite float; an int past the float range is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+#: A finite real number.
+FINITE = Rule("finite", _finite)
+
+#: A finite real number > 0.
+POSITIVE = Rule("finite and > 0", lambda value: _finite(value) and value > 0)
+
+
+def at_least(low: float) -> Rule:
+    """A finite real number >= ``low``."""
+    return Rule(f"finite and >= {low:g}", lambda value: _finite(value) and value >= low)
+
+
+def between(low: float, high: float, *, open: bool = False) -> Rule:
+    """A real number in ``[low, high]``, or in ``(low, high)`` when ``open``."""
+    if open:
+        return Rule(f"in ({low:g}, {high:g})", lambda value: low < value < high)
+    return Rule(f"in [{low:g}, {high:g}]", lambda value: low <= value <= high)
+
+
+def count(low: int) -> Rule:
+    """An integer >= ``low``; any int is finite, even one past the float range."""
+    return Rule(f">= {low}", lambda value: value >= low)
+
+
+def check(obj, **rules: Rule) -> None:
+    """Raise the rule's error for the first field of ``obj`` that breaks its rule.
+
+    The error names the field in its message and in ``field``, to which
+    ``model.load_fields`` prefixes the dotted path of the mapping it read.
+    Every rule rejects nan.
+    """
+    for name, rule in rules.items():
+        value = getattr(obj, name)
+        if not rule.holds(value):
+            raise rule.error(f"{name} must be {rule.text}, got {value}", field=name)

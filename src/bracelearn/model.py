@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import NormStats
-from .errors import ModelFormatError, ValidationError
+from .errors import ModelFormatError, ValidationError, check, count
 from .lstm import CellParams, NetworkParams, predict
 
 FORMAT_VERSION = 1
@@ -29,10 +29,8 @@ class ModelConfig:
 
     def __post_init__(self):
         if not self.name:
-            raise ValidationError("model name must be non-empty")
-        for attr in ("neurons", "hidden_layers", "lookback"):
-            if getattr(self, attr) < 1:
-                raise ValidationError(f"{attr} must be >= 1, got {getattr(self, attr)}")
+            raise ValidationError("model name must be non-empty", field="name")
+        check(self, neurons=count(1), hidden_layers=count(1), lookback=count(1))
 
 
 @dataclass
@@ -195,7 +193,8 @@ def load_fields(cls, raw, where: str, error: type[ValidationError]):
     try:
         return cls(**values)
     except ValidationError as exc:
-        raise error(f"{where}: {exc}", field=where) from exc
+        path = ".".join(filter(None, (where, exc.field)))
+        raise error(f"{path}: {exc}", field=path) from exc
 
 
 def load_model(path) -> TrainedModel:

@@ -19,7 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError, ValidationError
+from .errors import (
+    FINITE, POSITIVE, DivergenceError, ValidationError, at_least, between, check, count,
+)
 
 DISPLACEMENT = "displacement"
 FORCE = "force"
@@ -47,10 +49,7 @@ class Series:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError(f"dt must be finite and positive, got {self.dt}")
-        if not math.isfinite(self.t0):
-            raise ValidationError(f"t0 must be finite, got {self.t0}")
+        check(self, dt=POSITIVE, t0=FINITE)
         if values.ndim != 1 or values.size == 0:
             raise ValidationError("values must be a non-empty one-dimensional array")
         if self.unit not in (DISPLACEMENT, FORCE):
@@ -79,34 +78,28 @@ class LoadingProtocol:
     dt: float = 0.01
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "amplitude_factors", tuple(float(a) for a in self.amplitude_factors)
+        factors = tuple(float(a) for a in self.amplitude_factors)
+        object.__setattr__(self, "amplitude_factors", factors)
+        check(
+            self, delta_y=POSITIVE, cycles_per_amplitude=count(1), points_per_cycle=count(8),
+            dt=POSITIVE,
         )
-        if not (math.isfinite(self.delta_y) and self.delta_y > 0):
-            raise ValidationError(f"delta_y must be positive, got {self.delta_y}")
-        if len(self.amplitude_factors) == 0:
-            raise ValidationError("amplitude_factors must be non-empty")
-        if any(a <= 0 for a in self.amplitude_factors):
-            raise ValidationError("amplitude_factors must all be positive")
-        if any(
-            b <= a for a, b in zip(self.amplitude_factors, self.amplitude_factors[1:])
-        ):
-            raise ValidationError("amplitude_factors must be strictly increasing")
-        if not math.isfinite(self.delta_y * self.amplitude_factors[-1]):
+        if not factors:
+            raise ValidationError("amplitude_factors must be non-empty", field="amplitude_factors")
+        if not all(a > 0 for a in factors):
+            raise ValidationError(
+                "amplitude_factors must all be positive", field="amplitude_factors"
+            )
+        if any(b <= a for a, b in zip(factors, factors[1:])):
+            raise ValidationError(
+                "amplitude_factors must be strictly increasing", field="amplitude_factors"
+            )
+        if not math.isfinite(self.delta_y * factors[-1]):
             raise ValidationError(
                 f"delta_y {self.delta_y} times the largest amplitude factor "
-                f"{self.amplitude_factors[-1]} overflows the float range"
+                f"{factors[-1]} overflows the float range",
+                field="delta_y",
             )
-        if self.cycles_per_amplitude < 1:
-            raise ValidationError(
-                f"cycles_per_amplitude must be >= 1, got {self.cycles_per_amplitude}"
-            )
-        if self.points_per_cycle < 8:
-            raise ValidationError(
-                f"points_per_cycle must be >= 8, got {self.points_per_cycle}"
-            )
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError(f"dt must be positive, got {self.dt}")
 
 
 @dataclass(frozen=True)
@@ -132,25 +125,11 @@ class BoucWenParams:
     substeps: int = 4
 
     def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0):
-            raise ValidationError(f"k must be positive, got {self.k}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValidationError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not (math.isfinite(self.A0) and self.A0 >= 0):
-            raise ValidationError(f"A0 must be non-negative, got {self.A0}")
-        for name in ("beta", "gamma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if not (math.isfinite(self.n) and self.n >= 1.0):
-            raise ValidationError(f"n must be >= 1, got {self.n}")
-        if self.delta_nu < 0:
-            raise ValidationError(f"delta_nu must be >= 0, got {self.delta_nu}")
-        if self.delta_eta < 0:
-            raise ValidationError(f"delta_eta must be >= 0, got {self.delta_eta}")
-        if self.asym < 1.0:
-            raise ValidationError(f"asym must be >= 1, got {self.asym}")
-        if self.substeps < 1:
-            raise ValidationError(f"substeps must be >= 1, got {self.substeps}")
+        check(
+            self, k=POSITIVE, alpha=between(0, 1), A0=at_least(0), beta=FINITE, gamma=FINITE,
+            n=at_least(1), delta_nu=at_least(0), delta_eta=at_least(0), asym=at_least(1),
+            substeps=count(1),
+        )
 
 
 def specimen_a() -> BoucWenParams:
@@ -235,7 +214,7 @@ def simulate_trace(params: BoucWenParams, disp: Series) -> SimulationTrace:
         else:
             b, g = beta, gamma
         abs_z = abs(z)
-        pow_nm1 = abs_z ** (n_exp - 1.0) if abs_z > 0.0 else (1.0 if n_exp == 1.0 else 0.0)
+        pow_nm1 = abs_z ** (n_exp - 1.0)  # n >= 1: at z = 0, 1.0 for n = 1 and 0.0 above
         dz = (a0 * vel - nu * (b * abs(vel) * pow_nm1 * z + g * vel * pow_nm1 * abs_z)) / eta
         de = one_minus_alpha_k * z * vel
         return dz, de

@@ -37,10 +37,12 @@ DEFAULT_GRID: tuple[ModelConfig, ...] = (
     ModelConfig("Model 3e", 40, 5, 40),
 )
 
-SUMMARY_COLUMNS = (
-    "model", "neurons", "layers", "lookback",
-    "train_nrmse", "test_nrmse", "epochs", "seconds",
-)
+#: summary.csv's header, each column mapped to the ``SweepEntry.to_dict`` key it shows.
+SUMMARY_COLUMNS = {
+    "model": "model", "neurons": "neurons", "layers": "hidden_layers", "lookback": "lookback",
+    "train_nrmse": "train_nrmse", "test_nrmse": "test_nrmse", "epochs": "epochs_run",
+    "seconds": "wall_seconds",
+}
 
 DIVERGED = "diverged"
 
@@ -224,28 +226,17 @@ def run_sweep(
 
 
 def write_summary_csv(report: SweepReport, path, include_timing: bool = False) -> None:
-    """Flat per-model summary; seconds is blank unless timing is requested,
-    and blank for a diverged entry, as ``report.json`` omits it there."""
+    """Flat per-model summary: ``report.json``'s entries, ``SUMMARY_COLUMNS`` of each.
+
+    A column the entry's ``to_dict`` omits is blank: seconds unless timing
+    is requested, and for a diverged entry.
+    """
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SUMMARY_COLUMNS)
         for entry in report.entries:
-            cfg = entry.config
-            if entry.failed:
-                train_nrmse = test_nrmse = DIVERGED
-            else:
-                train_nrmse = repr(entry.report.train_nrmse)
-                test_nrmse = repr(entry.report.test_nrmse)
-            epochs = entry.report.epochs_run
-            seconds = (
-                repr(entry.report.wall_seconds)
-                if include_timing and not entry.failed
-                else ""
-            )
-            writer.writerow(
-                [cfg.name, cfg.neurons, cfg.hidden_layers, cfg.lookback,
-                 train_nrmse, test_nrmse, epochs, seconds]
-            )
+            row = entry.to_dict(include_timing=include_timing)
+            writer.writerow([row.get(key, "") for key in SUMMARY_COLUMNS.values()])
 
 
 def emit_predictions(model: TrainedModel, disp, force, preds, out_csv) -> None:

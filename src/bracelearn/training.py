@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import NormStats, WindowedDataset, denormalize
-from .errors import DegenerateDataError, DivergenceError, ValidationError
+from .errors import (
+    POSITIVE, DegenerateDataError, DivergenceError, ValidationError, at_least, between, check,
+    count,
+)
 from .lstm import NetworkParams, backward_batch, forward_batch, predict
 
 #: An epoch must beat the best loss by at least this much to reset patience.
@@ -35,26 +38,12 @@ class TrainConfig:
     adam_eps: float = 1e-8
 
     def __post_init__(self):
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValidationError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValidationError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ValidationError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.clip_norm < 0:
-            raise ValidationError(f"clip_norm must be >= 0, got {self.clip_norm}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.early_stop_patience < 1:
-            raise ValidationError(
-                f"early_stop_patience must be >= 1, got {self.early_stop_patience}"
-            )
-        for name in ("adam_beta1", "adam_beta2"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValidationError(f"{name} must lie in (0, 1), got {value}")
-        if self.adam_eps <= 0:
-            raise ValidationError(f"adam_eps must be positive, got {self.adam_eps}")
+        check(
+            self, learning_rate=at_least(0), batch_size=count(1), max_epochs=count(1),
+            clip_norm=at_least(0), seed=count(0), early_stop_patience=count(1),
+            adam_beta1=between(0, 1, open=True), adam_beta2=between(0, 1, open=True),
+            adam_eps=POSITIVE,
+        )
 
 
 @dataclass

@@ -171,12 +171,18 @@ class TestStrictConfig:
             (lambda c: c["oracle"].update(k=None), "oracle.k: expected a finite number"),
             (lambda c: c.update(grid={}), "grid: expected a non-empty list"),
             (lambda c: c.update(grid=[]), "grid: expected a non-empty list"),
+            # in range of the type, out of range of the field
+            (lambda c: c["training"].update(batch_size=0), "training.batch_size"),
+            (lambda c: c["grid"][0].update(neurons=0), "grid[0].neurons"),
+            (lambda c: c["oracle"].update(asym=0.5), "oracle.asym"),
+            (lambda c: c["protocol"].update(points_per_cycle=7), "protocol.points_per_cycle"),
         ],
         ids=["grid-missing-lookback", "neurons-string", "neurons-fraction", "name-int",
              "batch-size-fraction", "max-epochs-fraction", "substeps-fraction",
              "cycles-fraction", "seed-fraction", "clip-norm-nan", "points-fraction",
              "delta-nu-nan", "learning-rate-string", "seed-null", "k-null", "grid-mapping",
-             "grid-empty"],
+             "grid-empty", "batch-size-zero", "neurons-zero", "asym-below-1",
+             "points-below-8"],
     )
     def test_malformed_field_exits_2(
         self, tiny_config, tiny_cli_csv, tmp_path, capsys, mutate, field
@@ -194,6 +200,9 @@ class TestStrictConfig:
         assert code == 2
         assert field in err, err
         assert not out.exists() and not (tmp_path / "m.report.json").exists()
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(config)
+        assert excinfo.value.field == field.split(":")[0]
 
     def test_colliding_grid_slugs_rejected(self, tmp_path):
         # both would be written as model_m-a.json, predictions_m-a.csv, ...
@@ -348,7 +357,22 @@ class TestTrain:
                      "--out-dir", str(out_dir)])
         assert code == 2
         assert message in capsys.readouterr().err
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
+
+    def test_sweep_out_dir_that_is_a_file_rejected_before_training(
+        self, tiny_config, tiny_cli_csv, tmp_path, capsys, monkeypatch
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train must not run")
+
+        monkeypatch.setattr(sweep_mod, "train", no_training)
+        out_dir = tmp_path / "study"
+        out_dir.write_text("keep\n")
+        code = main(["sweep", "--config", tiny_config, "--data", str(tiny_cli_csv),
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "not a directory" in capsys.readouterr().err
+        assert out_dir.read_text() == "keep\n"
 
     def test_divergent_training_exits_3(self, tiny_config, tiny_cli_csv, tmp_path, capsys):
         config = write_config(
@@ -593,10 +617,13 @@ class TestPredict:
              ["parameters.cells: expected a non-empty list"]),
             (lambda doc: doc["normalization"].update(mean_x=None),
              ["normalization.mean_x: expected a finite number"]),
+            (lambda doc: doc["model"].update(neurons=0), ["model.neurons"]),
+            (lambda doc: doc["normalization"].update(std_y=0), ["normalization.std_y"]),
         ],
         ids=["neurons-not-int", "neurons-fraction", "layers-bool", "lookback-fraction",
              "cells-not-list", "wx-shape", "w-out-inf", "unknown-model-key",
-             "missing-parameters", "cell-not-mapping", "no-cells", "null-scalar"],
+             "missing-parameters", "cell-not-mapping", "no-cells", "null-scalar",
+             "neurons-zero", "std-y-zero"],
     )
     def test_malformed_model_field(
         self, tiny_config, tiny_cli_csv, tmp_path, capsys, mutate, named

@@ -59,8 +59,9 @@ class TestLoadingProtocol:
         ],
     )
     def test_validation_names_field(self, kwargs, message):
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(ValidationError, match=message) as excinfo:
             LoadingProtocol(**kwargs)
+        assert excinfo.value.field == next(iter(kwargs))
 
 
 class TestSeries:
@@ -215,8 +216,9 @@ class TestSimulate:
         ],
     )
     def test_param_validation_names_field(self, kwargs, message):
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(ValidationError, match=message) as excinfo:
             BoucWenParams(**kwargs)
+        assert excinfo.value.field == next(iter(kwargs))
 
 
 class TestCsv:

@@ -205,5 +205,6 @@ class TestConfigValidation:
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as excinfo:
             TrainConfig(**kwargs)
+        assert excinfo.value.field == next(iter(kwargs))
