@@ -23,12 +23,9 @@ from .lstm import (
     CellParams,
     CellState,
     NetworkParams,
-    backward,
     cell_forward,
-    forward,
     grad_check,
     init_network,
-    parameter_count,
     predict,
 )
 from .model import ModelConfig, TrainedModel, load_model, save_model
@@ -43,7 +40,7 @@ from .oracle import (
     specimen_b,
 )
 from .sweep import DEFAULT_GRID, SweepReport, emit_predictions, fit_model, run_sweep
-from .training import TrainConfig, TrainReport, mse_loss, nrmse, train
+from .training import TrainConfig, TrainReport, nrmse, train
 
 __version__ = "0.1.0"
 
@@ -71,20 +68,16 @@ __all__ = [
     "TrainedModel",
     "ValidationError",
     "WindowedDataset",
-    "backward",
     "cell_forward",
     "denormalize",
     "emit_predictions",
     "fit_model",
     "fit_norm",
-    "forward",
     "generate_protocol",
     "grad_check",
     "init_network",
     "load_model",
-    "mse_loss",
     "nrmse",
-    "parameter_count",
     "predict",
     "run_sweep",
     "save_model",

@@ -226,7 +226,7 @@ def cmd_gradcheck(args) -> int:
     net = lstm.init_network(args.hidden, args.layers, 1, rng=rng)
     window = rng.normal(size=(args.lookback, 1))
     target = float(rng.normal())
-    error = lstm.grad_check(net, window, target, eps=args.eps, corrupt=args.corrupt)
+    error = lstm.grad_check(net, window, target, eps=args.eps)
     status = "PASS" if error <= args.tolerance else "FAIL"
     print(f"{status}: max relative gradient error {error:.3e} (tolerance {args.tolerance:g})")
     return 0 if error <= args.tolerance else 1
@@ -281,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--seed", type=int, default=0)
     gc.add_argument("--eps", type=float, default=1e-5)
     gc.add_argument("--tolerance", type=float, default=1e-5)
-    gc.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     gc.set_defaults(func=cmd_gradcheck)
 
     return parser

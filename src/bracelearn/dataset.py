@@ -37,10 +37,6 @@ class NormStats:
         check(self, mean_x=FINITE, mean_y=FINITE, std_x=_SPREAD, std_y=_SPREAD)
 
 
-#: Pass-through statistics (mean 0, std 1), handy for tests and fixtures.
-IDENTITY_STATS = NormStats(mean_x=0.0, std_x=1.0, mean_y=0.0, std_y=1.0)
-
-
 @dataclass(frozen=True)
 class WindowedDataset:
     """Sliding windows of normalized inputs with last-step-aligned targets.

@@ -15,10 +15,13 @@ Cell computation per step (sigma is the logistic function, * elementwise):
     c = f * c_prev + i * g                     long-term state
     h = o * tanh(c)                            short-term state
 
-``cell_forward`` evaluates these gate by gate for one cell and one step;
-it is the reference for the batched engine (``forward_batch``,
-``backward_batch``, ``predict``), one kernel over feature-major
-(lookback, 4H, batch) gates that keeps a tape for BPTT only when asked.
+The batched engine is the only way into the network: ``forward_batch``
+and ``backward_batch`` for training, the tapeless ``predict`` for
+inference, one kernel over feature-major (lookback, 4H, batch) gates
+that keeps a tape for BPTT only when asked. ``grad_check`` drives the
+same three on a batch of one window. ``cell_forward`` evaluates the
+equations gate by gate for one cell and one step; it is the reference
+the engine is tested against.
 """
 
 from __future__ import annotations
@@ -189,10 +192,6 @@ class NetworkParams:
     @property
     def num_layers(self) -> int:
         return len(self.cells)
-
-
-def parameter_count(net: NetworkParams) -> int:
-    return net.flat.size
 
 
 def init_network(
@@ -429,53 +428,25 @@ def backward_batch(
 
 
 # --------------------------------------------------------------------------
-# Single-window interface and checks
+# Inference and the gradient check
 # --------------------------------------------------------------------------
 
-
-def forward(net: NetworkParams, window: np.ndarray) -> tuple[float, Tape]:
-    """Process one window of shape (lookback, input_dim); returns (prediction, tape)."""
-    w = np.asarray(window, dtype=np.float64)
-    if w.ndim != 2:
-        raise ShapeError(f"window must be (lookback, input_dim), got {w.shape}")
-    preds, tape = forward_batch(net, w[np.newaxis])
-    return float(preds[0]), tape
+#: Windows per tapeless pass of ``predict``.
+_PREDICT_CHUNK = 1024
 
 
-def backward(net: NetworkParams, tape: Tape, d_prediction: float) -> NetworkParams:
-    """Gradients of one window's prediction, seeded by ``d_prediction``."""
-    if tape.layers[0].inputs.shape[2] != 1:
-        raise ValidationError(
-            "backward expects a single-window tape; use backward_batch for batches"
-        )
-    return backward_batch(net, tape, np.array([float(d_prediction)]))
-
-
-def predict(net: NetworkParams, windows: np.ndarray, chunk_size: int = 1024) -> np.ndarray:
+def predict(net: NetworkParams, windows: np.ndarray) -> np.ndarray:
     """Forward-only predictions for many windows, processed in chunks.
 
     No tape is kept, so peak memory is about one layer's gate buffer for
-    one chunk, (lookback, 4H, chunk_size) float64.
+    one chunk, (lookback, 4H, _PREDICT_CHUNK) float64.
     """
     x = _windows(net, windows)
-    if chunk_size < 1:
-        raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
     out = np.empty(len(x))
-    for start in range(0, len(x), chunk_size):
-        preds, _ = _run(net, x[start : start + chunk_size], keep_tape=False)
+    for start in range(0, len(x), _PREDICT_CHUNK):
+        preds, _ = _run(net, x[start : start + _PREDICT_CHUNK], keep_tape=False)
         out[start : start + len(preds)] = preds
     return out
-
-
-def _squared_error(net: NetworkParams, window: np.ndarray, target: float) -> float:
-    """One window's squared error; a loss past the float range is inf, which
-    grad_check reports as a failure rather than a warning or a traceback."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        pred, _ = forward(net, window)
-    try:
-        return (pred - target) ** 2
-    except OverflowError:
-        return math.inf
 
 
 def grad_check(
@@ -484,32 +455,43 @@ def grad_check(
     target: float,
     *,
     eps: float = 1e-5,
-    corrupt: bool = False,
 ) -> float:
     """Compare BPTT gradients against central finite differences.
 
-    Perturbs every entry of ``net.flat`` by +/- eps, differences the
-    squared-error loss, and returns the worst relative discrepancy
-    ``|a - b| / max(|a|, |b|, 1e-12)`` over all parameters, or inf as soon
-    as an analytic or numeric entry is non-finite. ``corrupt``
-    deliberately damages one analytic gradient entry first, so tests can
-    prove the check is able to fail.
+    The analytic gradient of one window's squared error comes from
+    ``forward_batch`` and ``backward_batch``; every entry of ``net.flat``
+    is then perturbed by +/- eps and the squared error differenced, each
+    loss from a tapeless ``predict`` of the window. Returns the worst
+    relative discrepancy ``|a - b| / max(|a|, |b|, 1e-12)`` over all
+    parameters, or inf as soon as an analytic or numeric entry is
+    non-finite. A loss past the float range is inf, which fails the check
+    rather than warning or raising.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValidationError(f"eps must be finite and > 0, got {eps}")
+    w = np.asarray(window, dtype=np.float64)
+    if w.ndim != 2:
+        raise ShapeError(f"window must be (lookback, input_dim), got {w.shape}")
+    windows = w[np.newaxis]
     target = float(target)
-    pred, tape = forward(net, window)
-    analytic = backward(net, tape, 2.0 * (pred - target))
-    if corrupt:
-        analytic.cells[0].Wh_f[0, 0] += 0.5
+    preds, tape = forward_batch(net, windows)
+    analytic = backward_batch(net, tape, 2.0 * (preds - target))
+
+    def loss() -> float:
+        with np.errstate(over="ignore", invalid="ignore"):
+            pred = float(predict(net, windows)[0])
+        try:
+            return (pred - target) ** 2
+        except OverflowError:
+            return math.inf
 
     worst = 0.0
     for k in range(net.flat.size):
         orig = net.flat[k]
         net.flat[k] = orig + eps
-        loss_plus = _squared_error(net, window, target)
+        loss_plus = loss()
         net.flat[k] = orig - eps
-        loss_minus = _squared_error(net, window, target)
+        loss_minus = loss()
         net.flat[k] = orig
         numeric = (loss_plus - loss_minus) / (2.0 * eps)
         analytic_val = float(analytic.flat[k])

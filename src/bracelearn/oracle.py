@@ -39,6 +39,7 @@ class Series:
     """A uniformly sampled scalar time history: sample i is at ``t0 + i*dt``.
 
     ``unit`` tags the physical quantity: ``"displacement"`` or ``"force"``.
+    Every sample is finite.
     """
 
     dt: float
@@ -55,6 +56,13 @@ class Series:
         if self.unit not in (DISPLACEMENT, FORCE):
             raise ValidationError(
                 f"unit must be {DISPLACEMENT!r} or {FORCE!r}, got {self.unit!r}"
+            )
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            index = int(bad[0])
+            raise ValidationError(
+                f"{self.unit} values must be finite, got {values[index]} at sample {index}",
+                field="values",
             )
 
     def __len__(self) -> int:
@@ -78,8 +86,16 @@ class LoadingProtocol:
     dt: float = 0.01
 
     def __post_init__(self):
-        factors = tuple(float(a) for a in self.amplitude_factors)
-        object.__setattr__(self, "amplitude_factors", factors)
+        factors = []
+        for index, a in enumerate(self.amplitude_factors):
+            try:
+                factors.append(float(a))
+            except (OverflowError, TypeError, ValueError):
+                raise ValidationError(
+                    f"amplitude_factors[{index}] must be a real number, got {a!r}",
+                    field="amplitude_factors",
+                ) from None
+        object.__setattr__(self, "amplitude_factors", tuple(factors))
         check(
             self, delta_y=POSITIVE, cycles_per_amplitude=count(1), points_per_cycle=count(8),
             dt=POSITIVE,
@@ -251,8 +267,8 @@ def simulate_trace(params: BoucWenParams, disp: Series) -> SimulationTrace:
                 )
             z_hist[i + 1] = z_cur
             e_hist[i + 1] = e_cur
-
-    force = alpha * k * x + one_minus_alpha_k * z_hist
+        # a force past the float range is rejected by Series, not warned about
+        force = alpha * k * x + one_minus_alpha_k * z_hist
     return SimulationTrace(
         force=Series(dt=dt, values=force, unit=FORCE, t0=disp.t0), z=z_hist, energy=e_hist
     )

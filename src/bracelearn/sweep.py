@@ -22,7 +22,7 @@ import numpy as np
 from . import oracle
 from .dataset import WindowedDataset, denormalize, fit_norm, split_half, split_point, window
 from .errors import DegenerateDataError, DivergenceError, InsufficientDataError
-from .lstm import init_network, parameter_count
+from .lstm import init_network
 from .model import ModelConfig, TrainedModel
 from .training import TrainConfig, TrainReport, nrmse, train
 
@@ -80,7 +80,7 @@ class SweepEntry:
             "lookback": self.config.lookback,
         }
         if self.model is not None:
-            out["parameter_count"] = parameter_count(self.model.net)
+            out["parameter_count"] = self.model.net.flat.size
         if self.failed:
             out["train_nrmse"] = DIVERGED
             out["test_nrmse"] = DIVERGED

@@ -1,4 +1,4 @@
-"""Mini-batch Adam training plus the loss and error metrics.
+"""Mini-batch Adam training and the NRMSE error metric.
 
 Training operates on normalized windowed data; the headline error metric
 (NRMSE, percent of the true force range) is computed in physical units
@@ -73,18 +73,6 @@ class TrainReport:
         if include_timing:
             out["wall_seconds"] = self.wall_seconds
         return out
-
-
-def mse_loss(pred, target) -> float:
-    """Mean of squared differences."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape or pred.size < 1:
-        raise ValidationError(
-            f"pred and target must be equal-length and non-empty, "
-            f"got {pred.shape} vs {target.shape}"
-        )
-    return float(np.mean((pred - target) ** 2))
 
 
 def nrmse(pred, target) -> float:

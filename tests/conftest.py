@@ -2,7 +2,11 @@
 
 import pytest
 
-from bracelearn import oracle
+from bracelearn import lstm, oracle
+from bracelearn.dataset import NormStats
+
+#: Pass-through statistics (mean 0, std 1).
+IDENTITY_STATS = NormStats(mean_x=0.0, std_x=1.0, mean_y=0.0, std_y=1.0)
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +42,16 @@ def tiny_csv(tiny_data, tmp_path):
     path = tmp_path / "tiny.csv"
     oracle.write_csv(path, disp, force)
     return path
+
+
+@pytest.fixture()
+def corrupt_backward(monkeypatch):
+    """Make BPTT wrong in one entry, so a gradient check has something to find."""
+    real_backward = lstm.backward_batch
+
+    def wrong_backward(net, tape, d_preds):
+        grads = real_backward(net, tape, d_preds)
+        grads.cells[0].Wh_f[0, 0] += 0.5
+        return grads
+
+    monkeypatch.setattr(lstm, "backward_batch", wrong_backward)

@@ -121,6 +121,20 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: hysteresis state became non-finite") and "Warning" not in err
 
+    def test_overflowing_force_exits_2_without_file_or_warnings(self, tmp_path, capsys):
+        # the state stays finite, but k times the displacement does not
+        config = write_config(
+            tmp_path / "c.yaml", oracle={"k": 1.0e308, "alpha": 1.0}, protocol={"delta_y": 10.0}
+        )
+        out = tmp_path / "d.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["generate", "--config", config, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "force values must be finite" in err and "Warning" not in err
+        assert not out.exists()
+
 
 class TestStrictConfig:
     def test_misspelled_key_rejected(self, tmp_path, capsys):
@@ -653,8 +667,9 @@ class TestGradcheckCommand:
         assert main(["gradcheck"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.usefixtures("corrupt_backward")
     def test_corrupt_fails(self, capsys):
-        assert main(["gradcheck", "--corrupt"]) == 1
+        assert main(["gradcheck"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_minimal_net(self):

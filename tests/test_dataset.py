@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bracelearn import dataset, oracle
-from bracelearn.dataset import IDENTITY_STATS, NormStats
+from bracelearn.dataset import NormStats
 from bracelearn.errors import (
     DegenerateDataError,
     InsufficientDataError,
     ValidationError,
 )
+from conftest import IDENTITY_STATS
 
 
 def _series(values, unit=oracle.DISPLACEMENT, dt=0.01):

@@ -81,7 +81,7 @@ class TestCellForward:
     def test_empty_window_rejected(self):
         net = lstm.init_network(3, 1, 1, rng=np.random.default_rng(44))
         with pytest.raises(ShapeError, match="at least one step"):
-            lstm.forward(net, np.zeros((0, 1)))
+            lstm.predict(net, np.zeros((0, 1))[np.newaxis])
 
     def test_state_decay_geometric(self):
         # input weights zero, candidate path zero, forget gate at phi:
@@ -98,7 +98,7 @@ class TestForward:
     def test_all_zero_network(self):
         net = lstm.init_network(4, 2, 1, rng=np.random.default_rng(0))
         net.flat[...] = 0.0
-        pred, _ = lstm.forward(net, np.random.default_rng(1).normal(size=(7, 1)))
+        pred = lstm.predict(net, np.random.default_rng(1).normal(size=(7, 1))[np.newaxis])[0]
         assert pred == 0.0
 
     def test_single_step_matches_cell_forward(self):
@@ -107,23 +107,23 @@ class TestForward:
         x = rng.normal(size=(1, 1))
         state = lstm.cell_forward(net.cells[0], x[0], CellState.zeros(3))
         expected = float(state.h @ net.W_out + net.b_out[0])
-        pred, _ = lstm.forward(net, x)
+        pred = lstm.predict(net, x[np.newaxis])[0]
         assert pred == pytest.approx(expected, abs=1e-12)
 
     def test_order_sensitivity(self):
         rng = np.random.default_rng(3)
         net = lstm.init_network(5, 1, 1, rng=rng)
         window = np.array([[0.3], [-1.2]])
-        pred_fwd, _ = lstm.forward(net, window)
-        pred_rev, _ = lstm.forward(net, window[::-1])
+        pred_fwd = lstm.predict(net, window[np.newaxis])[0]
+        pred_rev = lstm.predict(net, window[::-1][np.newaxis])[0]
         assert pred_fwd != pred_rev
 
     def test_determinism(self):
         rng = np.random.default_rng(4)
         net = lstm.init_network(8, 2, 1, rng=rng)
         window = rng.normal(size=(12, 1))
-        first, _ = lstm.forward(net, window)
-        second, _ = lstm.forward(net, window)
+        first = lstm.predict(net, window[np.newaxis])[0]
+        second = lstm.predict(net, window[np.newaxis])[0]
         assert first == second
 
     def test_layer_stack_composition(self):
@@ -138,37 +138,40 @@ class TestForward:
             state0 = lstm.cell_forward(net.cells[0], window[t], state0)
             state1 = lstm.cell_forward(net.cells[1], state0.h, state1)
         expected = float(state1.h @ net.W_out + net.b_out[0])
-        pred, _ = lstm.forward(net, window)
+        pred = lstm.predict(net, window[np.newaxis])[0]
         assert pred == pytest.approx(expected, abs=1e-12)
 
     def test_input_dim_mismatch(self):
         net = lstm.init_network(4, 1, 1, rng=np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            lstm.forward(net, np.zeros((5, 2)))
+            lstm.predict(net, np.zeros((5, 2))[np.newaxis])
 
-    def test_predict_matches_forward(self):
+    def test_predict_matches_forward(self, monkeypatch):
+        monkeypatch.setattr(lstm, "_PREDICT_CHUNK", 4)
         rng = np.random.default_rng(7)
         net = lstm.init_network(4, 2, 1, rng=rng)
         windows = rng.normal(size=(9, 5, 1))
-        preds = lstm.predict(net, windows, chunk_size=4)
+        preds = lstm.predict(net, windows)
         for w in range(9):
-            single, _ = lstm.forward(net, windows[w])
+            single = lstm.forward_batch(net, windows[w][np.newaxis])[0][0]
             assert preds[w] == pytest.approx(single, abs=1e-12)
 
-    def test_predict_chunks_equal_forward_batch(self):
+    def test_predict_chunks_equal_forward_batch(self, monkeypatch):
         # the tapeless pass runs the same arithmetic as the taped one
+        monkeypatch.setattr(lstm, "_PREDICT_CHUNK", 5)
         rng = np.random.default_rng(21)
         net = lstm.init_network(5, 3, 1, rng=rng)
         windows = rng.normal(size=(23, 7, 1))
-        preds = lstm.predict(net, windows, chunk_size=5)
+        preds = lstm.predict(net, windows)
         expected = np.concatenate(
             [lstm.forward_batch(net, windows[s : s + 5])[0] for s in range(0, 23, 5)]
         )
         np.testing.assert_array_equal(preds, expected)
 
-    def test_predict_memory_is_one_layer(self):
+    def test_predict_memory_is_one_layer(self, monkeypatch):
         import tracemalloc
 
+        monkeypatch.setattr(lstm, "_PREDICT_CHUNK", 64)
         rng = np.random.default_rng(22)
         net = lstm.init_network(8, 4, 1, rng=rng)
         steps, chunk = 30, 64
@@ -176,32 +179,26 @@ class TestForward:
         gate_bytes = steps * chunk * 4 * net.hidden_size * 8  # one (T, 4H, B) buffer
         tracemalloc.start()
         try:
-            lstm.predict(net, windows, chunk_size=chunk)
+            lstm.predict(net, windows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2 * gate_bytes
-
-    @pytest.mark.parametrize("chunk_size", [0, -3])
-    def test_predict_rejects_chunk_size_below_one(self, chunk_size):
-        net = lstm.init_network(4, 1, 1, rng=np.random.default_rng(23))
-        with pytest.raises(ValidationError, match="chunk_size"):
-            lstm.predict(net, np.zeros((4, 3, 1)), chunk_size=chunk_size)
 
 
 class TestBackward:
     def test_zero_seed_gives_zero_gradients(self):
         rng = np.random.default_rng(8)
         net = lstm.init_network(4, 2, 1, rng=rng)
-        _, tape = lstm.forward(net, rng.normal(size=(5, 1)))
-        grads = lstm.backward(net, tape, 0.0)
+        _, tape = lstm.forward_batch(net, rng.normal(size=(5, 1))[np.newaxis])
+        grads = lstm.backward_batch(net, tape, np.array([0.0]))
         assert np.all(grads.flat == 0.0)
 
     def test_linear_head_gradients(self):
         rng = np.random.default_rng(9)
         net = lstm.init_network(4, 1, 1, rng=rng)
-        _, tape = lstm.forward(net, rng.normal(size=(5, 1)))
-        grads = lstm.backward(net, tape, 2.5)
+        _, tape = lstm.forward_batch(net, rng.normal(size=(5, 1))[np.newaxis])
+        grads = lstm.backward_batch(net, tape, np.array([2.5]))
         assert grads.b_out[0] == 2.5
         np.testing.assert_allclose(grads.W_out, 2.5 * tape.layers[-1].h[-1][:, 0], rtol=1e-15)
 
@@ -209,9 +206,9 @@ class TestBackward:
         rng = np.random.default_rng(10)
         net_a = lstm.init_network(4, 1, 1, rng=rng)
         net_b = lstm.init_network(4, 1, 1, rng=rng)
-        _, tape = lstm.forward(net_a, rng.normal(size=(5, 1)))
+        _, tape = lstm.forward_batch(net_a, rng.normal(size=(5, 1))[np.newaxis])
         with pytest.raises(ValidationError, match="tape"):
-            lstm.backward(net_b, tape, 1.0)
+            lstm.backward_batch(net_b, tape, np.array([1.0]))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -227,10 +224,11 @@ class TestGradCheck:
         err = lstm.grad_check(net, rng.normal(size=(4, 1)), 0.7)
         assert err <= 1e-5
 
+    @pytest.mark.usefixtures("corrupt_backward")
     def test_corrupted_gradients_detected(self):
         rng = np.random.default_rng(14)
         net = lstm.init_network(3, 2, 1, rng=rng)
-        err = lstm.grad_check(net, rng.normal(size=(4, 1)), 0.7, corrupt=True)
+        err = lstm.grad_check(net, rng.normal(size=(4, 1)), 0.7)
         assert err > 1e-2
 
     def test_tiny_parameter_scale(self):
@@ -243,20 +241,20 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("entries", [slice(None), -1], ids=["all", "last"])
     def test_nan_analytic_gradient_fails(self, monkeypatch, entries):
-        real_backward = lstm.backward
+        real_backward = lstm.backward_batch
 
-        def nan_backward(net, tape, d_prediction):
-            grads = real_backward(net, tape, d_prediction)
+        def nan_backward(net, tape, d_preds):
+            grads = real_backward(net, tape, d_preds)
             grads.flat[entries] = np.nan
             return grads
 
-        monkeypatch.setattr(lstm, "backward", nan_backward)
+        monkeypatch.setattr(lstm, "backward_batch", nan_backward)
         rng = np.random.default_rng(18)
         net = lstm.init_network(3, 2, 1, rng=rng)
         assert lstm.grad_check(net, rng.normal(size=(4, 1)), 0.7) == math.inf
 
     def test_nan_numeric_gradient_fails(self, monkeypatch):
-        monkeypatch.setattr(lstm, "_squared_error", lambda net, window, target: math.nan)
+        monkeypatch.setattr(lstm, "predict", lambda net, windows: np.array([math.nan]))
         rng = np.random.default_rng(19)
         net = lstm.init_network(3, 2, 1, rng=rng)
         assert lstm.grad_check(net, rng.normal(size=(4, 1)), 0.7) == math.inf
@@ -302,8 +300,8 @@ class TestEngineShapes:
         batched = lstm.backward_batch(net, tape, seeds)
         summed = np.zeros_like(net.flat)
         for window, seed in zip(windows, seeds):
-            _, single = lstm.forward(net, window)
-            summed += lstm.backward(net, single, seed).flat
+            _, single = lstm.forward_batch(net, window[np.newaxis])
+            summed += lstm.backward_batch(net, single, np.array([seed])).flat
         np.testing.assert_allclose(batched.flat, summed, rtol=1e-12, atol=1e-14)
 
 
@@ -338,7 +336,7 @@ class TestNetworkParams:
             expected = 4 * (neurons * 1 + neurons**2 + neurons)
             expected += (layers - 1) * 4 * (2 * neurons**2 + neurons)
             expected += neurons + 1
-            assert lstm.parameter_count(net) == expected
+            assert net.flat.size == expected
 
     def test_blocks_are_views_of_flat(self):
         import copy

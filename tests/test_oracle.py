@@ -56,6 +56,10 @@ class TestLoadingProtocol:
             # 10 x delta_y, the largest default peak, is past the float range
             (dict(delta_y=1e308), "delta_y"),
             (dict(delta_y=2e307), "delta_y"),
+            # entries float() cannot convert are named, not bare exceptions
+            (dict(amplitude_factors=(1.0, 10**400)), r"amplitude_factors\[1\]"),
+            (dict(amplitude_factors=(1.0, "x")), r"amplitude_factors\[1\]"),
+            (dict(amplitude_factors=(1.0, None)), r"amplitude_factors\[1\]"),
         ],
     )
     def test_validation_names_field(self, kwargs, message):
@@ -76,6 +80,11 @@ class TestSeries:
     def test_rejects_unknown_unit(self):
         with pytest.raises(ValidationError, match="unit"):
             Series(dt=0.1, values=np.ones(3), unit="velocity")
+
+    def test_rejects_non_finite_values(self):
+        with pytest.raises(ValidationError, match="displacement.*sample 1") as excinfo:
+            Series(dt=1.0, values=[1.0, np.nan, 2.0], unit=oracle.DISPLACEMENT)
+        assert excinfo.value.field == "values"
 
 
 class TestSimulate:

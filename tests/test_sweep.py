@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from bracelearn import dataset, lstm, sweep, training
-from bracelearn.dataset import IDENTITY_STATS
 from bracelearn.errors import DegenerateDataError, ValidationError
 from bracelearn.model import ModelConfig, TrainedModel
 from bracelearn.sweep import (
     DEFAULT_GRID, derive_seed, emit_predictions, fit_model, predict_record, run_sweep,
 )
 from bracelearn.training import TrainConfig
+from conftest import IDENTITY_STATS
 
 FAST_CFG = TrainConfig(max_epochs=2, batch_size=64, seed=0)
 
@@ -65,9 +65,7 @@ class TestRunSweep:
         assert report.best_model == "Model 3d"
         assert report.data_fingerprint == sweep.fingerprint(tiny_csv.read_bytes())
         entry = report.entries[0].to_dict()
-        assert entry["parameter_count"] == lstm.parameter_count(
-            report.entries[0].model.net
-        )
+        assert entry["parameter_count"] == report.entries[0].model.net.flat.size
 
     def test_best_model_is_minimum(self, tiny_csv):
         grid = (
@@ -145,7 +143,8 @@ class TestSummaryCsv:
         report = run_sweep(tiny_csv, grid, FAST_CFG)
         out = tmp_path / "summary.csv"
         sweep.write_summary_csv(report, out)
-        rows = list(csv.reader(out.open()))
+        with out.open() as handle:
+            rows = list(csv.reader(handle))
         assert rows[0] == list(sweep.SUMMARY_COLUMNS)
         assert len(rows) == 2
         assert rows[1][0] == "a"
@@ -156,7 +155,8 @@ class TestSummaryCsv:
         report = run_sweep(tiny_csv, grid, FAST_CFG)
         out = tmp_path / "summary.csv"
         sweep.write_summary_csv(report, out, include_timing=True)
-        rows = list(csv.reader(out.open()))
+        with out.open() as handle:
+            rows = list(csv.reader(handle))
         assert float(rows[1][7]) > 0.0
 
 
@@ -186,7 +186,8 @@ class TestEmitPredictions:
         fake = FakeModel(force.values, lookback=7)
         out = tmp_path / "pred.csv"
         emit(fake, tiny_data, out)
-        rows = list(csv.reader(out.open()))
+        with out.open() as handle:
+            rows = list(csv.reader(handle))
         for row in rows[1 + 6 :]:
             assert row[3] == row[2]
 
@@ -196,7 +197,8 @@ class TestEmitPredictions:
         fake = FakeModel(force.values, lookback)
         out = tmp_path / "pred.csv"
         emit(fake, tiny_data, out)
-        rows = list(csv.reader(out.open()))
+        with out.open() as handle:
+            rows = list(csv.reader(handle))
         assert rows[0] == ["t", "displacement", "force_true", "force_pred", "split"]
         assert len(rows) == len(force) + 1
         empties = [row for row in rows[1:] if row[3] == ""]
@@ -208,7 +210,8 @@ class TestEmitPredictions:
         fake = FakeModel(force.values, lookback=5)
         out = tmp_path / "pred.csv"
         emit(fake, tiny_data, out)
-        rows = list(csv.reader(out.open()))[1:]
+        with out.open() as handle:
+            rows = list(csv.reader(handle))[1:]
         labels = [row[4] for row in rows]
         cut = (len(force) + 1) // 2
         changes = [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]]
@@ -226,7 +229,8 @@ class TestEmitPredictions:
         )
         out = tmp_path / "pred.csv"
         emit(trained, tiny_data, out)
-        rows = list(csv.reader(out.open()))
+        with out.open() as handle:
+            rows = list(csv.reader(handle))
         assert len(rows) == len(force) + 1
         floats = [float(row[3]) for row in rows[6 + 1 :]]
         assert all(np.isfinite(floats))

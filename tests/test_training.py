@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bracelearn import dataset, lstm, training
 from bracelearn.dataset import WindowedDataset
 from bracelearn.errors import DegenerateDataError, DivergenceError, ValidationError
-from bracelearn.training import TrainConfig, clip_global_norm, mse_loss, nrmse
+from bracelearn.training import TrainConfig, clip_global_norm, nrmse
 
 
 def toy_dataset(num_windows=16, lookback=6, seed=0) -> WindowedDataset:
@@ -21,21 +21,6 @@ def toy_dataset(num_windows=16, lookback=6, seed=0) -> WindowedDataset:
         lookback=lookback,
         input_dim=1,
     )
-
-
-class TestMseLoss:
-    def test_identical(self):
-        assert mse_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_unit_offset(self):
-        assert mse_loss([0.0, 0.0], [1.0, 1.0]) == 1.0
-
-    def test_hand_computed(self):
-        assert mse_loss([1.0, 2.0, 3.0], [0.0, 2.0, 5.0]) == pytest.approx(5.0 / 3.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            mse_loss([1.0], [1.0, 2.0])
 
 
 class TestNrmse:
