@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from . import lstm, oracle, sweep as sweep_mod
-from .errors import ConfigError, DivergenceError, ValidationError, at_least, check
+from .errors import ConfigError, DivergenceError, ValidationError, at_least, check, count
 from .model import ModelConfig, load_fields, load_model, save_model
 from .oracle import BoucWenParams, LoadingProtocol
 from .sweep import DEFAULT_GRID, fit_model
@@ -96,10 +96,18 @@ def _find_model(grid, name: str) -> ModelConfig:
     raise ConfigError(f"unknown model {name!r}; valid names: {names}")
 
 
-def _check_parent(path: Path) -> None:
+def _check_output(path: Path, *, directory: bool = False) -> None:
+    """Reject, before any work, an output path the command cannot write.
+
+    Its parent directory must exist, and an existing path must be a
+    directory exactly when ``directory`` is set.
+    """
     parent = path.resolve().parent
     if not parent.is_dir():
         raise ConfigError(f"output directory does not exist: {parent}")
+    if path.exists() and path.is_dir() != directory:
+        kind = "is not a directory" if directory else "is a directory"
+        raise ConfigError(f"output path exists and {kind}: {path}")
 
 
 def _check_input(path: Path) -> None:
@@ -114,7 +122,7 @@ def _apply_seed(cfg: TrainConfig, seed) -> TrainConfig:
 def cmd_generate(args) -> int:
     config = load_config(args.config)
     out = Path(args.out)
-    _check_parent(out)
+    _check_output(out)
     params = config.oracle
     if args.specimen is not None:
         params = _SPECIMENS[args.specimen]()
@@ -137,12 +145,11 @@ def cmd_train(args) -> int:
     data = Path(args.data)
     out = Path(args.out)
     _check_input(data)
-    _check_parent(out)
     report_path = Path(args.report) if args.report else out.with_suffix(".report.json")
-    _check_parent(report_path)
     loss_path = Path(args.loss_csv) if args.loss_csv else None
-    if loss_path is not None:
-        _check_parent(loss_path)
+    for path in (out, report_path, loss_path):
+        if path is not None:
+            _check_output(path)
 
     model_cfg = _find_model(config.grid, args.model)
     train_cfg = _apply_seed(config.training, args.seed)
@@ -173,9 +180,7 @@ def cmd_sweep(args) -> int:
     data = Path(args.data)
     _check_input(data)
     out_dir = Path(args.out_dir)
-    _check_parent(out_dir)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise ConfigError(f"output path exists and is not a directory: {out_dir}")
+    _check_output(out_dir, directory=True)
 
     train_cfg = _apply_seed(config.training, args.seed)
     report = sweep_mod.run_sweep(data, config.grid, train_cfg)
@@ -197,7 +202,7 @@ def cmd_sweep(args) -> int:
             )
     for entry in report.entries:
         status = (
-            "diverged"
+            sweep_mod.DIVERGED
             if entry.failed
             else f"test NRMSE {entry.report.test_nrmse:.2f}%"
         )
@@ -211,7 +216,7 @@ def cmd_predict(args) -> int:
     out = Path(args.out)
     _check_input(data)
     _check_input(Path(args.model))
-    _check_parent(out)
+    _check_output(out)
     model = load_model(args.model)
     disp, force = oracle.read_csv(data)
     windows = sweep_mod.window(disp, force, model.stats, model.config.lookback)
@@ -221,7 +226,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    check(args, tolerance=at_least(0))
+    check(args, hidden=count(1), layers=count(1), lookback=count(1), seed=count(0),
+          tolerance=at_least(0))
     rng = np.random.default_rng(args.seed)
     net = lstm.init_network(args.hidden, args.layers, 1, rng=rng)
     window = rng.normal(size=(args.lookback, 1))

@@ -17,7 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     FINITE, POSITIVE, DegenerateDataError, InsufficientDataError, ValidationError, check, count,
 )
-from .oracle import Series
+from .oracle import Series, check_pair
 
 
 #: A standard deviation to divide by: a zero one means the data has no spread.
@@ -68,13 +68,6 @@ class WindowedDataset:
         return len(self.targets)
 
 
-def _check_pair(x: Series, y: Series) -> None:
-    if len(x) != len(y):
-        raise ValidationError(f"series length mismatch: {len(x)} vs {len(y)}")
-    if x.dt != y.dt:
-        raise ValidationError(f"series dt mismatch: {x.dt} vs {y.dt}")
-
-
 def split_point(n: int) -> int:
     """Index of the first held-out sample of an n-sample record: ceil(n/2)."""
     return (n + 1) // 2
@@ -86,7 +79,7 @@ def split_half(x: Series, y: Series):
     Returns ((train_x, train_y), (test_x, test_y)); order is preserved and
     nothing is shuffled.
     """
-    _check_pair(x, y)
+    check_pair(x, y)
     n = len(x)
     if n < 4:
         raise ValidationError(f"need at least 4 samples to split, got {n}")
@@ -98,7 +91,7 @@ def split_half(x: Series, y: Series):
 
 def fit_norm(train_x: Series, train_y: Series) -> NormStats:
     """Compute per-channel mean and population standard deviation."""
-    _check_pair(train_x, train_y)
+    check_pair(train_x, train_y)
     std_x = float(np.std(train_x.values))
     std_y = float(np.std(train_y.values))
     if std_x == 0.0:
@@ -114,8 +107,11 @@ def fit_norm(train_x: Series, train_y: Series) -> NormStats:
 
 
 def window(x: Series, y: Series, stats: NormStats, lookback: int) -> WindowedDataset:
-    """Normalize and slice both series into overlapping lookback windows."""
-    _check_pair(x, y)
+    """Normalize and slice both series into overlapping lookback windows.
+
+    A series that ``stats`` scale past the float range raises ValidationError.
+    """
+    check_pair(x, y)
     if lookback < 1:
         raise ValidationError(f"lookback must be >= 1, got {lookback}")
     n = len(x)
@@ -123,8 +119,14 @@ def window(x: Series, y: Series, stats: NormStats, lookback: int) -> WindowedDat
         raise InsufficientDataError(
             f"series has {n} samples but lookback is {lookback}"
         )
-    xn = (x.values - stats.mean_x) / stats.std_x
-    yn = (y.values - stats.mean_y) / stats.std_y
+    # statistics too narrow for this record overflow: rejected, not warned about
+    with np.errstate(over="ignore"):
+        xn = (x.values - stats.mean_x) / stats.std_x
+        yn = (y.values - stats.mean_y) / stats.std_y
+    for series, scaled, std in ((x, xn, "std_x"), (y, yn, "std_y")):
+        if not np.isfinite(scaled).all():
+            message = f"{series.unit} normalized by {std} {getattr(stats, std)!r} overflows"
+            raise ValidationError(message, field=std)
     inputs = sliding_window_view(xn, lookback)[:, :, np.newaxis].copy()
     targets = yn[lookback - 1 :].copy()
     return WindowedDataset(inputs=inputs, targets=targets, lookback=lookback, input_dim=1)

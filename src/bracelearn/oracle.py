@@ -200,9 +200,9 @@ def simulate_trace(params: BoucWenParams, disp: Series) -> SimulationTrace:
     State: internal variable z (drives the hysteretic force) and
     dissipated energy. Between consecutive displacement samples the state
     advances with classical fourth-order Runge-Kutta over ``substeps``
-    equal substeps; the velocity is taken from finite differences of the
-    displacement samples (central in the interior, one-sided at the ends)
-    and interpolated linearly within each sample interval.
+    equal substeps; the velocity is ``np.gradient`` of the displacement
+    samples (central differences in the interior, one-sided at the ends)
+    and is interpolated linearly within each sample interval.
     """
     if disp.unit != DISPLACEMENT:
         raise ValidationError(f"simulate expects a displacement series, got {disp.unit!r}")
@@ -243,11 +243,7 @@ def simulate_trace(params: BoucWenParams, disp: Series) -> SimulationTrace:
     e_cur = 0.0
     # a blowing-up rate or state is reported via DivergenceError, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.zeros(num)
-        if num > 1:
-            v[0] = (x[1] - x[0]) / dt
-            v[-1] = (x[-1] - x[-2]) / dt
-            v[1:-1] = (x[2:] - x[:-2]) / (2.0 * dt)
+        v = np.gradient(x, dt) if num > 1 else np.zeros(1)
         for i in range(num - 1):
             v0 = v[i]
             dv = v[i + 1] - v0
@@ -274,19 +270,30 @@ def simulate_trace(params: BoucWenParams, disp: Series) -> SimulationTrace:
     )
 
 
+def check_pair(x: Series, y: Series) -> None:
+    """Raise ValidationError unless the two series have the same length and ``dt``."""
+    if len(x) != len(y):
+        raise ValidationError(f"series length mismatch: {len(x)} {x.unit} vs {len(y)} {y.unit}")
+    if x.dt != y.dt:
+        raise ValidationError(f"series dt mismatch: {x.dt} {x.unit} vs {y.dt} {y.unit}")
+
+
+def sample_rows(disp: Series, force: Series):
+    """Yield each sample's ``t, displacement, force`` as text, ``t`` from ``disp.t0``."""
+    for i, (x, f) in enumerate(zip(disp.values.tolist(), force.values.tolist())):
+        yield repr(disp.t0 + i * disp.dt), repr(x), repr(f)
+
+
 def write_csv(path, disp: Series, force: Series) -> None:
-    """Write a ``t,displacement,force`` CSV, one row per sample, ``t`` from ``disp.t0``."""
-    if len(disp) != len(force):
-        raise ValidationError(
-            f"series length mismatch: {len(disp)} displacement vs {len(force)} force"
-        )
-    if disp.dt != force.dt:
-        raise ValidationError(f"dt mismatch: {disp.dt} vs {force.dt}")
+    """Write a ``t,displacement,force`` CSV, one ``sample_rows`` row per sample.
+
+    A mismatched pair raises ValidationError before the file is created.
+    """
+    check_pair(disp, force)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_HEADER)
-        for i, (d, f) in enumerate(zip(disp.values, force.values)):
-            writer.writerow([repr(disp.t0 + i * disp.dt), repr(float(d)), repr(float(f))])
+        writer.writerows(sample_rows(disp, force))
 
 
 def read_csv(path, raw: bytes | None = None) -> tuple[Series, Series]:

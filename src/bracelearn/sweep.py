@@ -96,10 +96,15 @@ class SweepReport:
     """All grid entries plus the winning model and the data fingerprint."""
 
     entries: list[SweepEntry] = field(default_factory=list)
-    best_model: str | None = None
     data_fingerprint: str = ""
     #: The (displacement, force) record read from the CSV, for ``emit_predictions``.
     record: tuple[oracle.Series, oracle.Series] | None = field(default=None, repr=False)
+
+    @property
+    def best_model(self) -> str | None:
+        """Name of the finished entry with the lowest test NRMSE; None if every entry failed."""
+        finished = [e for e in self.entries if not e.failed]
+        return min(finished, key=lambda e: e.report.test_nrmse).config.name if finished else None
 
     def to_dict(self, include_timing: bool = False) -> dict:
         return {
@@ -112,12 +117,14 @@ class SweepReport:
         return json.dumps(self.to_dict(include_timing=include_timing), indent=2, sort_keys=True)
 
 
-def _check_record(config: ModelConfig, force: oracle.Series) -> None:
-    """Check, before any training, that ``fit_model`` can score ``config``.
+def _halves(config: ModelConfig, force: oracle.Series) -> tuple[slice, slice]:
+    """The windows ``fit_model`` trains on and holds out, checked before any training.
 
-    Both halves of the record must hold a full window, and the force at
-    the windows' last steps, which each half's NRMSE is measured against
-    (``fit_model``'s ``targets[:head]`` and ``targets[cut:]``), must vary.
+    Window w ends at sample ``w + lookback - 1``: the first slice holds
+    the windows that end in the training half, the second those that lie
+    wholly in the held-out half. Both halves must hold a full window, and
+    the force at the windows' last steps, which each half's NRMSE is
+    measured against, must vary.
     """
     n = len(force)
     cut = split_point(n)
@@ -126,14 +133,16 @@ def _check_record(config: ModelConfig, force: oracle.Series) -> None:
         raise InsufficientDataError(
             f"{config.name}: lookback {config.lookback} exceeds half the series length ({half})"
         )
+    fit, held_out = slice(cut - config.lookback + 1), slice(cut, None)
     ends = force.values[config.lookback - 1 :]  # window w's target is ends[w]
-    halves = {"training": ends[: cut - config.lookback + 1], "held-out": ends[cut:]}
-    for name, targets in halves.items():
+    for name, part in (("training", fit), ("held-out", held_out)):
+        targets = ends[part]
         if np.ptp(targets) == 0:
             raise DegenerateDataError(
                 f"{config.name}: the force at the window ends of the {name} half has no "
                 f"spread ({targets.size} samples); NRMSE is undefined"
             )
+    return fit, held_out
 
 
 def predict_record(model: TrainedModel, data: WindowedDataset) -> np.ndarray:
@@ -150,21 +159,18 @@ def fit_model(
     """Run the full pipeline for one model config.
 
     Fit normalization on the training half, window the whole record once
-    and train, with the derived per-model seed, on the windows that end in
-    the training half. One pass then predicts every window: the report's
-    ``predictions``, whose slices give both halves' NRMSE in physical units.
-    A run whose weights exploded without a non-finite loss, so that either
-    NRMSE is not finite, raises DivergenceError like a diverged loss does.
+    and train, with the derived per-model seed, on the first ``_halves``
+    slice. One pass then predicts every window: the report's
+    ``predictions``, whose two ``_halves`` slices give both halves' NRMSE
+    in physical units. A run whose weights exploded without a non-finite
+    loss, so that either NRMSE is not finite, raises DivergenceError like a
+    diverged loss does.
     """
     (train_x, train_y), _ = split_half(disp, force)
     stats = fit_norm(train_x, train_y)
-    _check_record(config, force)
+    fit, held_out = _halves(config, force)
     data = window(disp, force, stats, config.lookback)
-    # window w ends at sample w + lookback - 1: the first ``head`` end in the
-    # training half, and those from ``cut`` on lie wholly in the held-out half
-    cut = split_point(len(disp))
-    head = cut - config.lookback + 1
-    train_set = dataclasses.replace(data, inputs=data.inputs[:head], targets=data.targets[:head])
+    train_set = dataclasses.replace(data, inputs=data.inputs[fit], targets=data.targets[fit])
     seed = derive_seed(cfg.seed, config.name)
     net = init_network(config.neurons, config.hidden_layers, rng=np.random.default_rng(seed))
     net, report = train(net, train_set, dataclasses.replace(cfg, seed=seed))
@@ -173,8 +179,8 @@ def fit_model(
     targets = denormalize(data.targets, stats)
     # an overflowing error is the divergence signal, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        report.train_nrmse = nrmse(preds[:head], targets[:head])
-        report.test_nrmse = nrmse(preds[cut:], targets[cut:])
+        report.train_nrmse = nrmse(preds[fit], targets[fit])
+        report.test_nrmse = nrmse(preds[held_out], targets[held_out])
     if not (math.isfinite(report.train_nrmse) and math.isfinite(report.test_nrmse)):
         raise DivergenceError(
             f"NRMSE became non-finite after training (epochs run: {report.epochs_run})",
@@ -192,15 +198,14 @@ def run_sweep(
     """Train every grid model on the CSV dataset; never abort on one failure.
 
     A model whose training diverges is recorded with the ``diverged``
-    sentinel and a message; the remaining models still run. The best
-    model is the finished entry with the lowest test NRMSE. The report
+    sentinel and a message; the remaining models still run. The report
     keeps the record it read for the prediction CSVs, and the fingerprint
     of the bytes it parsed.
     """
     raw = Path(data_csv).read_bytes()
     disp, force = oracle.read_csv(data_csv, raw)
     for config in grid:
-        _check_record(config, force)
+        _halves(config, force)
 
     report = SweepReport(data_fingerprint=fingerprint(raw), record=(disp, force))
     for config in grid:
@@ -210,18 +215,10 @@ def run_sweep(
                 SweepEntry(config=config, report=train_report, model=trained)
             )
         except DivergenceError as exc:
-            partial = TrainReport(
-                losses=exc.losses,
-                epochs_run=exc.epoch if exc.epoch is not None else 0,
-                seed=derive_seed(cfg.seed, config.name),
-            )
+            partial = TrainReport(losses=exc.losses, seed=derive_seed(cfg.seed, config.name))
             report.entries.append(
                 SweepEntry(config=config, report=partial, error=str(exc))
             )
-
-    finished = [e for e in report.entries if not e.failed]
-    if finished:
-        report.best_model = min(finished, key=lambda e: e.report.test_nrmse).config.name
     return report
 
 
@@ -242,16 +239,16 @@ def write_summary_csv(report: SweepReport, path, include_timing: bool = False) -
 def emit_predictions(model: TrainedModel, disp, force, preds, out_csv) -> None:
     """Write ``t,displacement,force_true,force_pred,split`` over the full record.
 
+    The first three fields are ``oracle.sample_rows``, as in the data CSV.
     ``preds`` is the force predicted for every window (``predict_record``);
     the first ``lookback - 1`` rows end no window and leave force_pred
     empty. The split column tags each sample by ``split_point``.
     """
     cut = split_point(len(disp))
     pred_fields = [""] * (model.config.lookback - 1) + list(map(repr, np.asarray(preds).tolist()))
-    rows = zip(disp.values.tolist(), force.values.tolist(), pred_fields, strict=True)
+    rows = zip(oracle.sample_rows(disp, force), pred_fields, strict=True)
     with open(out_csv, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "displacement", "force_true", "force_pred", "split"])
-        for i, (x, f, pred) in enumerate(rows):
-            split = "train" if i < cut else "test"
-            writer.writerow([repr(disp.t0 + i * disp.dt), repr(x), repr(f), pred, split])
+        for i, (sample, pred) in enumerate(rows):
+            writer.writerow([*sample, pred, "train" if i < cut else "test"])

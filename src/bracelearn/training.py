@@ -51,13 +51,17 @@ class TrainReport:
     """Outcome of one training run."""
 
     losses: list[float] = field(default_factory=list)
-    epochs_run: int = 0
     seed: int = 0
     wall_seconds: float = 0.0
     train_nrmse: float | None = None
     test_nrmse: float | None = None
     #: Physical-unit force of every window of the record, for the prediction CSV only.
     predictions: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def epochs_run(self) -> int:
+        """Epochs that finished: one loss each, also when training diverged."""
+        return len(self.losses)
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -191,7 +195,6 @@ def train(
 
     return net, TrainReport(
         losses=losses,
-        epochs_run=len(losses),
         seed=cfg.seed,
         wall_seconds=time.perf_counter() - started,
     )

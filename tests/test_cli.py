@@ -33,6 +33,14 @@ def write_config(path, **sections):
     return str(path)
 
 
+def assert_epochs_match_loss_csv(out_dir, slug):
+    """A sweep entry's ``epochs_run`` is the number of rows of its loss curve."""
+    report = json.loads((out_dir / "report.json").read_text())
+    (entry,) = [e for e in report["entries"] if e["model"] == slug]
+    lines = (out_dir / f"loss_{slug}.csv").read_text().splitlines()
+    assert entry["epochs_run"] == len(lines) - 1
+
+
 @pytest.fixture()
 def tiny_config(tmp_path):
     return write_config(
@@ -388,6 +396,27 @@ class TestTrain:
         assert "not a directory" in capsys.readouterr().err
         assert out_dir.read_text() == "keep\n"
 
+    @pytest.mark.parametrize("flag", ["--out", "--report", "--loss-csv"])
+    def test_output_path_that_is_a_directory_rejected_before_training(
+        self, tiny_config, tiny_cli_csv, tmp_path, capsys, monkeypatch, flag
+    ):
+        import bracelearn.cli
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_model must not run")
+
+        monkeypatch.setattr(bracelearn.cli, "fit_model", no_fit)
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        paths = {"--out": tmp_path / "m.json", "--report": tmp_path / "r.json",
+                 "--loss-csv": tmp_path / "loss.csv", flag: taken}
+        before = sorted(tmp_path.rglob("*"))
+        code = main(["train", "--config", tiny_config, "--data", str(tiny_cli_csv),
+                     "--model", "small", *(f"{k}={v}" for k, v in paths.items())])
+        assert code == 2
+        assert f"output path exists and is a directory: {taken}" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_divergent_training_exits_3(self, tiny_config, tiny_cli_csv, tmp_path, capsys):
         config = write_config(
             tmp_path / "diverge.yaml",
@@ -462,6 +491,10 @@ class TestSweepCommand:
         disp, _ = oracle.read_csv(tiny_cli_csv)
         assert len(rows) == len(disp) + 1
         assert sum(1 for row in rows[1:] if row[3] == "") == 6 - 1
+        # t, displacement and force are the data CSV's own fields, as text
+        with open(tiny_cli_csv, newline="") as handle:
+            data_rows = list(csv.reader(handle))
+        assert [row[:3] for row in rows[1:]] == data_rows[1:]
 
     def test_each_record_read_once_and_each_window_predicted_once(
         self, tiny_config, tiny_cli_csv, tmp_path, monkeypatch
@@ -535,6 +568,7 @@ class TestSweepCommand:
             rows = list(csv.reader(handle))
         assert rows[1][:6] == ["a", "2", "1", "4", "diverged", "diverged"]
         assert rows[1][-1] == ""
+        assert_epochs_match_loss_csv(out_dir, "a")
 
     def test_exploded_weights_recorded_as_diverged(self, tiny_cli_csv, tmp_path):
         # one batch and one epoch: the loss stays finite, the weights do not
@@ -560,6 +594,7 @@ class TestSweepCommand:
         assert report["best_model"] is None
         assert "NRMSE" in report["entries"][0]["error"]
         assert not (out_dir / "model_a.json").exists()
+        assert_epochs_match_loss_csv(out_dir, "a")
 
 
 class TestPredict:
@@ -685,12 +720,18 @@ class TestGradcheckCommand:
             ("--tolerance", "nan"),
             ("--tolerance", "-1"),
             ("--tolerance", "inf"),
+            ("--hidden", "0"),
+            ("--layers", "0"),
+            ("--lookback", "0"),
+            ("--lookback", "-1"),
+            ("--seed", "-1"),
         ],
     )
     def test_bad_flag_exits_2(self, capsys, flag, value):
         assert main(["gradcheck", f"{flag}={value}"]) == 2
         captured = capsys.readouterr()
-        assert flag.lstrip("-") in captured.err
+        assert f"{flag.lstrip('-')} must be" in captured.err
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
     def test_overflowing_eps_fails_without_traceback(self, capsys):

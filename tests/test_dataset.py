@@ -117,6 +117,21 @@ class TestWindow:
         with pytest.raises(InsufficientDataError):
             dataset.window(x, y, IDENTITY_STATS, 11)
 
+    @pytest.mark.parametrize(
+        "stats, unit, std",
+        [
+            (NormStats(mean_x=0.0, std_x=5e-324, mean_y=0.0, std_y=1.0), "displacement", "std_x"),
+            (NormStats(mean_x=0.0, std_x=1.0, mean_y=0.0, std_y=2.2e-309), "force", "std_y"),
+            (NormStats(mean_x=0.0, std_x=1.0, mean_y=-1e308, std_y=0.5), "force", "std_y"),
+        ],
+        ids=["std_x", "std_y", "mean_y"],
+    )
+    def test_overflowing_normalization_rejected(self, stats, unit, std):
+        x, y = _pair([0.0, 1.0, 2.0], [0.0, 10.0, 20.0])
+        with pytest.raises(ValidationError, match=f"{unit} normalized by {std}") as excinfo:
+            dataset.window(x, y, stats, 2)
+        assert excinfo.value.field == std
+
     def test_alignment_exact_with_identity_stats(self):
         rng = np.random.default_rng(5)
         values = rng.normal(size=37)

@@ -1,5 +1,6 @@
 """Loading-protocol generation and degrading-hysteresis simulation."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -98,6 +99,26 @@ class TestSimulate:
         disp = Series(dt=0.01, values=np.zeros(50), unit=oracle.DISPLACEMENT)
         force = oracle.simulate(BoucWenParams(), disp)
         assert np.all(force.values == 0.0)
+
+    @pytest.mark.parametrize(
+        "specimen, sha256",
+        [
+            (oracle.specimen_a, "8efd6d41022f6fb7a8cb939dfe901780e507ca80f427a7b26ab16f6349252bc7"),
+            (oracle.specimen_b, "461f4612066c30bc4f9bfe51ccc8a4a2c2ab9e3414c8f2fa91f9b84c66d6f497"),
+        ],
+        ids=["a", "b"],
+    )
+    def test_trace_is_pinned(self, default_data, specimen, sha256):
+        # recorded once: any change to the velocity or the RK4 arithmetic moves these bytes
+        disp, _ = default_data
+        trace = oracle.simulate_trace(specimen(), disp)
+        raw = trace.force.values.tobytes() + trace.z.tobytes() + trace.energy.tobytes()
+        assert hashlib.sha256(raw).hexdigest() == sha256
+
+    def test_single_sample(self):
+        disp = Series(dt=0.1, values=[0.5], unit=oracle.DISPLACEMENT)
+        force = oracle.simulate(BoucWenParams(), disp)
+        assert force.values.tolist() == [0.05 * 10.0 * 0.5]  # alpha * k * x, with z still 0
 
     def test_requires_displacement_series(self):
         force_like = Series(dt=0.01, values=np.ones(10), unit=oracle.FORCE)
@@ -248,6 +269,21 @@ class TestCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,displacement,force"
         assert len(lines) == len(disp) + 1
+
+    @pytest.mark.parametrize(
+        "mismatch, message",
+        [
+            (dict(values=np.zeros(3)), "length mismatch: 361 displacement vs 3 force"),
+            (dict(dt=0.02), "dt mismatch: 0.01 displacement vs 0.02 force"),
+        ],
+        ids=["length", "dt"],
+    )
+    def test_mismatched_pair_rejected_without_file(self, tiny_data, tmp_path, mismatch, message):
+        disp, force = tiny_data
+        path = tmp_path / "data.csv"
+        with pytest.raises(ValidationError, match=message):
+            oracle.write_csv(path, disp, replace(force, **mismatch))
+        assert not path.exists()
 
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
