@@ -28,6 +28,9 @@ from .training import TrainConfig
 
 _SPECIMENS = {"a": oracle.specimen_a, "b": oracle.specimen_b}
 
+#: The longest file name, in bytes, that common file systems allow.
+_NAME_MAX = 255
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -44,7 +47,8 @@ def load_config(path=None) -> ExperimentConfig:
 
     A missing or ``null`` section means its defaults; grid names must be
     plain file names with distinct ``_key``s, so ``--model`` picks exactly
-    one. Any malformed input raises ConfigError.
+    one, and short enough that every sweep file name fits in ``_NAME_MAX``
+    bytes. Any malformed input raises ConfigError.
     """
     doc = {}
     if path is not None:
@@ -69,6 +73,11 @@ def load_config(path=None) -> ExperimentConfig:
         if any(char in model.name for char in "/\\\0"):
             message = f"{model.name!r} must be a plain file name, without '/', '\\' or NUL"
             raise ConfigError(f"{path}: {where} {message}", field=where)
+        # surrogatepass: a YAML escape can give a lone surrogate, which strict UTF-8 rejects
+        longest = max(len(file.encode(errors="surrogatepass")) for file in _entry_files(model.name))
+        if longest > _NAME_MAX:
+            message = f"is too long: its sweep files need {longest} bytes, over {_NAME_MAX}"
+            raise ConfigError(f"{path}: {where} {message}", field=where)
         if key in keys[:index]:
             first = keys.index(key)
             raise ConfigError(
@@ -81,6 +90,12 @@ def load_config(path=None) -> ExperimentConfig:
 
 def _slug(name: str) -> str:
     return name.lower().replace(" ", "-")
+
+
+def _entry_files(name: str) -> tuple[str, str, str]:
+    """The loss, model and prediction file names a sweep writes for grid entry ``name``."""
+    slug = _slug(name)
+    return f"loss_{slug}.csv", f"model_{slug}.json", f"predictions_{slug}.csv"
 
 
 def _key(name: str) -> str:
@@ -96,23 +111,36 @@ def _find_model(grid, name: str) -> ModelConfig:
     raise ConfigError(f"unknown model {name!r}; valid names: {names}")
 
 
-def _check_output(path: Path, *, directory: bool = False) -> None:
-    """Reject, before any work, an output path the command cannot write.
+def _preflight(inputs: dict, outputs: dict, out_dir_files=()) -> None:
+    """Reject, before any work, paths the command cannot read or write.
 
-    Its parent directory must exist, and an existing path must be a
-    directory exactly when ``directory`` is set.
+    ``inputs`` and ``outputs`` map each flag to its path, or to None when
+    it is unset. An input must be a file. An output's parent directory
+    must exist, and an existing output must be a directory exactly when
+    its flag is ``--out-dir``. No two paths may be one file, counting the
+    ``out_dir_files`` a sweep will write in ``--out-dir``, so no command
+    overwrites its own input or one output with another.
     """
-    parent = path.resolve().parent
-    if not parent.is_dir():
-        raise ConfigError(f"output directory does not exist: {parent}")
-    if path.exists() and path.is_dir() != directory:
-        kind = "is not a directory" if directory else "is a directory"
-        raise ConfigError(f"output path exists and {kind}: {path}")
-
-
-def _check_input(path: Path) -> None:
-    if not path.is_file():
-        raise ConfigError(f"input file not found: {path}")
+    inputs = {flag: Path(path) for flag, path in inputs.items() if path is not None}
+    outputs = {flag: Path(path) for flag, path in outputs.items() if path is not None}
+    for path in inputs.values():
+        if not path.is_file():
+            raise ConfigError(f"input file not found: {path}")
+    for flag, path in outputs.items():
+        parent = path.resolve().parent
+        if not parent.is_dir():
+            raise ConfigError(f"output directory does not exist: {parent}")
+        directory = flag == "--out-dir"
+        if path.exists() and path.is_dir() != directory:
+            kind = "is not a directory" if directory else "is a directory"
+            raise ConfigError(f"output path exists and {kind}: {path}")
+    for name in out_dir_files:
+        outputs[f"--out-dir {name}"] = outputs["--out-dir"] / name
+    seen = {}
+    for flag, path in {**inputs, **outputs}.items():
+        first = seen.setdefault(path.resolve(), flag)
+        if first != flag:
+            raise ConfigError(f"{first} and {flag} are the same file: {path}")
 
 
 def _apply_seed(cfg: TrainConfig, seed) -> TrainConfig:
@@ -122,7 +150,7 @@ def _apply_seed(cfg: TrainConfig, seed) -> TrainConfig:
 def cmd_generate(args) -> int:
     config = load_config(args.config)
     out = Path(args.out)
-    _check_output(out)
+    _preflight({"--config": args.config}, {"--out": out})
     params = config.oracle
     if args.specimen is not None:
         params = _SPECIMENS[args.specimen]()
@@ -142,18 +170,17 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    data = Path(args.data)
     out = Path(args.out)
-    _check_input(data)
     report_path = Path(args.report) if args.report else out.with_suffix(".report.json")
     loss_path = Path(args.loss_csv) if args.loss_csv else None
-    for path in (out, report_path, loss_path):
-        if path is not None:
-            _check_output(path)
+    _preflight(
+        {"--config": args.config, "--data": args.data},
+        {"--out": out, "--report": report_path, "--loss-csv": loss_path},
+    )
 
     model_cfg = _find_model(config.grid, args.model)
     train_cfg = _apply_seed(config.training, args.seed)
-    disp, force = oracle.read_csv(data)
+    disp, force = oracle.read_csv(args.data)
     trained, report = fit_model(disp, force, model_cfg, train_cfg)
     save_model(out, trained)
     doc = json.dumps(
@@ -177,13 +204,13 @@ def _write_loss_csv(path, losses) -> None:
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
-    data = Path(args.data)
-    _check_input(data)
     out_dir = Path(args.out_dir)
-    _check_output(out_dir, directory=True)
+    files = [file for model in config.grid for file in _entry_files(model.name)]
+    _preflight({"--config": args.config, "--data": args.data}, {"--out-dir": out_dir},
+               ["report.json", "summary.csv", *files])
 
     train_cfg = _apply_seed(config.training, args.seed)
-    report = sweep_mod.run_sweep(data, config.grid, train_cfg)
+    report = sweep_mod.run_sweep(args.data, config.grid, train_cfg)
     out_dir.mkdir(exist_ok=True)  # only now, so a rejected sweep leaves no directory
     (out_dir / "report.json").write_text(
         report.to_json(include_timing=args.timing) + "\n"
@@ -192,13 +219,12 @@ def cmd_sweep(args) -> int:
         report, out_dir / "summary.csv", include_timing=args.timing
     )
     for entry in report.entries:
-        slug = _slug(entry.config.name)
-        _write_loss_csv(out_dir / f"loss_{slug}.csv", entry.report.losses)
+        loss, model, predictions = _entry_files(entry.config.name)
+        _write_loss_csv(out_dir / loss, entry.report.losses)
         if entry.model is not None:
-            save_model(out_dir / f"model_{slug}.json", entry.model)
+            save_model(out_dir / model, entry.model)
             sweep_mod.emit_predictions(
-                entry.model, *report.record, entry.report.predictions,
-                out_dir / f"predictions_{slug}.csv",
+                entry.model, *report.record, entry.report.predictions, out_dir / predictions
             )
     for entry in report.entries:
         status = (
@@ -212,13 +238,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    data = Path(args.data)
     out = Path(args.out)
-    _check_input(data)
-    _check_input(Path(args.model))
-    _check_output(out)
+    _preflight({"--model": args.model, "--data": args.data}, {"--out": out})
     model = load_model(args.model)
-    disp, force = oracle.read_csv(data)
+    disp, force = oracle.read_csv(args.data)
     windows = sweep_mod.window(disp, force, model.stats, model.config.lookback)
     sweep_mod.emit_predictions(model, disp, force, sweep_mod.predict_record(model, windows), out)
     print(f"wrote {out}")

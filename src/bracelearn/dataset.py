@@ -44,28 +44,32 @@ class WindowedDataset:
     ``inputs`` has shape (num_windows, lookback, input_dim) and
     ``targets`` shape (num_windows,); window w covers source samples
     ``w .. w+lookback-1`` and its target is the normalized force at
-    sample ``w + lookback - 1``.
+    sample ``w + lookback - 1``. The three sizes are read from the
+    arrays' shapes, so they cannot disagree with them.
     """
 
     inputs: np.ndarray
     targets: np.ndarray
-    lookback: int
-    input_dim: int
 
     def __post_init__(self):
-        check(self, lookback=count(1), input_dim=count(1))
-        if self.inputs.shape != (len(self.targets), self.lookback, self.input_dim):
+        if self.inputs.ndim != 3 or len(self.inputs) != len(self.targets):
             raise ValidationError(
-                f"inputs shape {self.inputs.shape} inconsistent with "
-                f"{len(self.targets)} targets, lookback {self.lookback}, "
-                f"input_dim {self.input_dim}"
+                f"inputs shape {self.inputs.shape} is not (num_windows, lookback, "
+                f"input_dim) for {len(self.targets)} targets"
             )
-        if len(self.targets) < 1:
-            raise ValidationError("dataset must contain at least one window")
+        check(self, num_windows=count(1), lookback=count(1), input_dim=count(1))
 
     @property
     def num_windows(self) -> int:
         return len(self.targets)
+
+    @property
+    def lookback(self) -> int:
+        return self.inputs.shape[1]
+
+    @property
+    def input_dim(self) -> int:
+        return self.inputs.shape[2]
 
 
 def split_point(n: int) -> int:
@@ -129,7 +133,7 @@ def window(x: Series, y: Series, stats: NormStats, lookback: int) -> WindowedDat
             raise ValidationError(message, field=std)
     inputs = sliding_window_view(xn, lookback)[:, :, np.newaxis].copy()
     targets = yn[lookback - 1 :].copy()
-    return WindowedDataset(inputs=inputs, targets=targets, lookback=lookback, input_dim=1)
+    return WindowedDataset(inputs=inputs, targets=targets)
 
 
 def denormalize(pred, stats: NormStats) -> np.ndarray:

@@ -83,10 +83,8 @@ def at_least(low: float) -> Rule:
     return Rule(f"finite and >= {low:g}", lambda value: _finite(value) and value >= low)
 
 
-def between(low: float, high: float, *, open: bool = False) -> Rule:
-    """A real number in ``[low, high]``, or in ``(low, high)`` when ``open``."""
-    if open:
-        return Rule(f"in ({low:g}, {high:g})", lambda value: low < value < high)
+def between(low: float, high: float) -> Rule:
+    """A real number in ``[low, high]``."""
     return Rule(f"in [{low:g}, {high:g}]", lambda value: low <= value <= high)
 
 

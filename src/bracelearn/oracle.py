@@ -306,13 +306,14 @@ def read_csv(path, raw: bytes | None = None) -> tuple[Series, Series]:
     from the first to the last row (by more than 1e-6 of the step) or a
     ``t`` column that does not increase raises ValidationError naming the
     file and line. ``dt`` is the first step, ``t[1] - t[0]``, and ``t0``
-    the first ``t``.
+    the first ``t``. A leading UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
     if raw is None:
         raw = path.read_bytes()
-    # an undecodable byte becomes U+FFFD, which the row checks then reject
-    with io.StringIO(raw.decode("utf-8", errors="replace"), newline="") as handle:
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark; an
+    # undecodable byte becomes U+FFFD, which the row checks then reject
+    with io.StringIO(raw.decode("utf-8-sig", errors="replace"), newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or tuple(header) != CSV_HEADER:

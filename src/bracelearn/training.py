@@ -15,34 +15,37 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import NormStats, WindowedDataset, denormalize
-from .errors import (
-    POSITIVE, DegenerateDataError, DivergenceError, ValidationError, at_least, between, check,
-    count,
-)
+from .errors import DegenerateDataError, DivergenceError, ValidationError, at_least, check, count
 from .lstm import NetworkParams, backward_batch, forward_batch, predict
 
 #: An epoch must beat the best loss by at least this much to reset patience.
 MIN_IMPROVEMENT = 1e-9
 
+#: Adam's moment decay rates and denominator guard: Kingma & Ba's defaults.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The ``training`` section: the settings of one run.
+
+    Adam's decay rates and epsilon are not settings: the module constants
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS`` fix them.
+    """
+
     learning_rate: float = 1e-3
     batch_size: int = 64
     max_epochs: int = 200
     clip_norm: float = 1.0  # global gradient-norm ceiling; 0 disables clipping
     seed: int = 0
     early_stop_patience: int = 25
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         check(
             self, learning_rate=at_least(0), batch_size=count(1), max_epochs=count(1),
             clip_norm=at_least(0), seed=count(0), early_stop_patience=count(1),
-            adam_beta1=between(0, 1, open=True), adam_beta2=between(0, 1, open=True),
-            adam_eps=POSITIVE,
         )
 
 
@@ -106,7 +109,11 @@ def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
 
 
 class _AdamState:
-    """First/second moment accumulators for one flat parameter vector."""
+    """First/second moment accumulators for one flat parameter vector.
+
+    Steps with the module's ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``
+    and the config's learning rate.
+    """
 
     def __init__(self, params: np.ndarray):
         self.m = np.zeros_like(params)
@@ -116,15 +123,14 @@ class _AdamState:
     def step(self, params: np.ndarray, grad: np.ndarray, cfg: TrainConfig):
         """One bias-corrected Adam update of ``params``, in place."""
         self.t += 1
-        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-        correction1 = 1.0 - b1**self.t
-        correction2 = 1.0 - b2**self.t
-        self.m *= b1
-        self.m += (1.0 - b1) * grad
-        self.v *= b2
-        self.v += (1.0 - b2) * grad * grad
+        correction1 = 1.0 - ADAM_BETA1**self.t
+        correction2 = 1.0 - ADAM_BETA2**self.t
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * grad * grad
         params -= cfg.learning_rate * (self.m / correction1) / (
-            np.sqrt(self.v / correction2) + cfg.adam_eps
+            np.sqrt(self.v / correction2) + ADAM_EPS
         )
 
 

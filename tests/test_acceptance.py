@@ -232,8 +232,6 @@ def test_criterion_8_overfit_probe(default_pair):
     probe = WindowedDataset(
         inputs=full.inputs[picks].copy(),
         targets=full.targets[picks].copy(),
-        lookback=30,
-        input_dim=1,
     )
     net = lstm.init_network(20, 1, 1, rng=np.random.default_rng(8))
     cfg = TrainConfig(max_epochs=2000, seed=8, early_stop_patience=2000)

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -19,6 +20,8 @@ from bracelearn.dataset import NormStats
 from bracelearn.errors import ConfigError
 from bracelearn.model import ModelConfig, TrainedModel, save_model
 from bracelearn.sweep import DEFAULT_GRID
+from bracelearn.training import TrainConfig
+from conftest import IDENTITY_STATS
 
 TINY_PROTOCOL = {
     "delta_y": 0.1,
@@ -39,6 +42,18 @@ def assert_epochs_match_loss_csv(out_dir, slug):
     (entry,) = [e for e in report["entries"] if e["model"] == slug]
     lines = (out_dir / f"loss_{slug}.csv").read_text().splitlines()
     assert entry["epochs_run"] == len(lines) - 1
+
+
+def snapshot(root):
+    """Every path under ``root``, with a file's bytes."""
+    return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
+
+
+def save_seeded_model(path):
+    """An untrained 3-neuron, lookback-4 model with pass-through statistics."""
+    net = lstm.init_network(3, 1, 1, rng=np.random.default_rng(0))
+    save_model(path, TrainedModel(net=net, config=ModelConfig("m", 3, 1, 4), stats=IDENTITY_STATS))
+    return path
 
 
 @pytest.fixture()
@@ -198,13 +213,15 @@ class TestStrictConfig:
             (lambda c: c["grid"][0].update(neurons=0), "grid[0].neurons"),
             (lambda c: c["oracle"].update(asym=0.5), "oracle.asym"),
             (lambda c: c["protocol"].update(points_per_cycle=7), "protocol.points_per_cycle"),
+            # Adam's constants are not settings
+            (lambda c: c["training"].update(adam_beta1=0.9), "training.adam_beta1: unknown field"),
         ],
         ids=["grid-missing-lookback", "neurons-string", "neurons-fraction", "name-int",
              "batch-size-fraction", "max-epochs-fraction", "substeps-fraction",
              "cycles-fraction", "seed-fraction", "clip-norm-nan", "points-fraction",
              "delta-nu-nan", "learning-rate-string", "seed-null", "k-null", "grid-mapping",
              "grid-empty", "batch-size-zero", "neurons-zero", "asym-below-1",
-             "points-below-8"],
+             "points-below-8", "adam-beta1"],
     )
     def test_malformed_field_exits_2(
         self, tiny_config, tiny_cli_csv, tmp_path, capsys, mutate, field
@@ -248,7 +265,9 @@ class TestStrictConfig:
         with pytest.raises(ConfigError, match="'m-a'.*'ma'"):
             load_config(config)
 
-    @pytest.mark.parametrize("name", ["x/y", "x\\y", "../up"])
+    # the last is too long: predictions_<name>.csv would need 266 bytes
+    @pytest.mark.parametrize("name", ["x/y", "x\\y", "../up", "x" * 250],
+                             ids=["x/y", "x\\y", "../up", "250-chars"])
     def test_grid_name_must_be_plain_file_name(self, tiny_cli_csv, tmp_path, capsys, name):
         config = write_config(
             tmp_path / "c.yaml",
@@ -274,6 +293,16 @@ class TestStrictConfig:
         code = main(["generate", "--config", str(config), "--out", str(tmp_path / "d.csv")])
         assert code == 2
         assert str(config) in capsys.readouterr().err
+
+    def test_readme_example_loads_to_defaults(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (example,) = re.findall(r"^```yaml\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+        config_path = tmp_path / "example.yaml"
+        config_path.write_text(example)
+        config = load_config(config_path)
+        assert (config.oracle, config.protocol, config.training) == (
+            oracle.BoucWenParams(), oracle.LoadingProtocol(), TrainConfig()
+        )
 
     def test_null_section_means_defaults(self, tmp_path):
         config = load_config(write_config(tmp_path / "c.yaml", training=None))
@@ -597,6 +626,51 @@ class TestSweepCommand:
         assert_epochs_match_loss_csv(out_dir, "a")
 
 
+class TestSameFile:
+    """No command may overwrite its own input, or write two outputs to one file."""
+
+    @pytest.mark.parametrize(
+        "argv, first, second",
+        [
+            (["train", "--config", "config.yaml", "--data", "data.csv", "--model", "small",
+              "--out", "m.json", "--report", "m.json"], "--out", "--report"),
+            (["train", "--config", "config.yaml", "--data", "data.csv", "--model", "small",
+              "--out", "m.json", "--loss-csv", "./m.json"], "--out", "--loss-csv"),
+            (["train", "--config", "config.yaml", "--data", "{tmp}/data.csv",
+              "--model", "small", "--out", "data.csv"], "--data", "--out"),
+            (["predict", "--model", "seeded.json", "--data", "data.csv",
+              "--out", "seeded.json"], "--model", "--out"),
+            (["predict", "--model", "seeded.json", "--data", "data.csv",
+              "--out", "{tmp}/data.csv"], "--data", "--out"),
+            (["generate", "--config", "config.yaml", "--out", "config.yaml"],
+             "--config", "--out"),
+            (["sweep", "--config", "config.yaml", "--data", "sw/summary.csv",
+              "--out-dir", "sw"], "--data", "--out-dir summary.csv"),
+        ],
+        ids=["train-out-report", "train-out-loss", "train-out-data", "predict-out-model",
+             "predict-out-data", "generate-out-config", "sweep-summary-data"],
+    )
+    def test_rejected_before_any_work(
+        self, tiny_config, tiny_cli_csv, tmp_path, capsys, monkeypatch, argv, first, second
+    ):
+        import bracelearn.cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("nothing may be trained")
+
+        monkeypatch.setattr(bracelearn.cli, "fit_model", no_work)
+        monkeypatch.setattr(sweep_mod, "train", no_work)
+        monkeypatch.chdir(tmp_path)
+        save_seeded_model(tmp_path / "seeded.json")
+        (tmp_path / "sw").mkdir()
+        (tmp_path / "sw" / "summary.csv").write_bytes(tiny_cli_csv.read_bytes())
+        before = snapshot(tmp_path)
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
+        assert code == 2
+        assert f"{first} and {second} are the same file" in capsys.readouterr().err
+        assert snapshot(tmp_path) == before
+
+
 class TestPredict:
     def test_deeply_nested_model_exits_2(self, tiny_cli_csv, tmp_path, capsys):
         model = tmp_path / "deep.json"
@@ -633,17 +707,25 @@ class TestPredict:
         data = tmp_path / "late.csv"
         rows = [f"{5.0 + 0.5 * i!r},{math.sin(i)!r},{math.cos(i)!r}" for i in range(10)]
         data.write_text("\n".join(["t,displacement,force", *rows]) + "\n")
-        net = lstm.init_network(3, 1, 1, rng=np.random.default_rng(0))
-        stats = NormStats(mean_x=0.0, std_x=1.0, mean_y=0.0, std_y=1.0)
-        model_path = tmp_path / "m.json"
-        save_model(model_path,
-                   TrainedModel(net=net, config=ModelConfig("m", 3, 1, 4), stats=stats))
+        model_path = save_seeded_model(tmp_path / "m.json")
         out = tmp_path / "pred.csv"
         assert main(["predict", "--model", str(model_path), "--data", str(data),
                      "--out", str(out)]) == 0
         with open(out) as handle:
             times = [row["t"] for row in csv.DictReader(handle)]
         assert times == [repr(5.0 + 0.5 * i) for i in range(10)]
+
+    def test_byte_order_mark_predicts_same_bytes(self, tiny_cli_csv, tmp_path):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + tiny_cli_csv.read_bytes())
+        model_path = save_seeded_model(tmp_path / "m.json")
+        outputs = []
+        for data in (tiny_cli_csv, marked):
+            out = tmp_path / f"pred_{data.stem}.csv"
+            assert main(["predict", "--model", str(model_path), "--data", str(data),
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "mutate, named",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bracelearn import dataset, oracle
-from bracelearn.dataset import NormStats
+from bracelearn.dataset import NormStats, WindowedDataset
 from bracelearn.errors import (
     DegenerateDataError,
     InsufficientDataError,
@@ -139,6 +139,31 @@ class TestWindow:
         data = dataset.window(x, y, IDENTITY_STATS, 9)
         for w in range(data.num_windows):
             assert data.targets[w] == values[w + 8]
+
+
+class TestWindowedDataset:
+    def test_sizes_read_from_inputs_shape(self):
+        data = WindowedDataset(inputs=np.zeros((4, 3, 2)), targets=np.zeros(4))
+        assert (data.num_windows, data.lookback, data.input_dim) == (4, 3, 2)
+
+    @pytest.mark.parametrize(
+        "inputs, targets",
+        [(np.zeros((4, 3)), np.zeros(4)), (np.zeros((4, 3, 1)), np.zeros(5))],
+        ids=["2d-inputs", "targets-length"],
+    )
+    def test_inconsistent_arrays_rejected(self, inputs, targets):
+        with pytest.raises(ValidationError, match=r"is not \(num_windows, lookback, input_dim"):
+            WindowedDataset(inputs=inputs, targets=targets)
+
+    @pytest.mark.parametrize(
+        "shape, field",
+        [((0, 3, 1), "num_windows"), ((2, 0, 1), "lookback"), ((2, 3, 0), "input_dim")],
+        ids=["num_windows", "lookback", "input_dim"],
+    )
+    def test_empty_axis_names_its_size(self, shape, field):
+        with pytest.raises(ValidationError) as excinfo:
+            WindowedDataset(inputs=np.zeros(shape), targets=np.zeros(shape[0]))
+        assert excinfo.value.field == field
 
 
 class TestDenormalize:

@@ -262,6 +262,14 @@ class TestCsv:
         np.testing.assert_array_equal(force2.values, force.values)
         assert disp2.unit == oracle.DISPLACEMENT and force2.unit == oracle.FORCE
 
+    def test_byte_order_mark_skipped(self, tiny_csv, tmp_path):
+        # a spreadsheet's "CSV UTF-8" export starts with one
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + tiny_csv.read_bytes())
+        for plain, read in zip(oracle.read_csv(tiny_csv), oracle.read_csv(marked)):
+            assert (read.dt, read.t0, read.unit) == (plain.dt, plain.t0, plain.unit)
+            np.testing.assert_array_equal(read.values, plain.values)
+
     def test_header_and_row_count(self, tiny_data, tmp_path):
         disp, force = tiny_data
         path = tmp_path / "data.csv"

@@ -18,8 +18,6 @@ def toy_dataset(num_windows=16, lookback=6, seed=0) -> WindowedDataset:
     return WindowedDataset(
         inputs=rng.normal(size=(num_windows, lookback, 1)),
         targets=rng.normal(size=num_windows),
-        lookback=lookback,
-        input_dim=1,
     )
 
 
@@ -78,7 +76,7 @@ class TestAdam:
         grad = rng.normal(size=net.flat.shape) * 10
         state = training._AdamState(net.flat)
         state.step(net.flat, grad, cfg)
-        bound = cfg.learning_rate / (1 - cfg.adam_beta1) * (1 + 1e-6)
+        bound = cfg.learning_rate / (1 - training.ADAM_BETA1) * (1 + 1e-6)
         assert np.abs(net.flat - before).max() <= bound
 
 
@@ -123,8 +121,6 @@ class TestTrain:
         data = WindowedDataset(
             inputs=np.zeros((4, 3, 1)),
             targets=np.full(4, 1e200),  # squared residual overflows immediately
-            lookback=3,
-            input_dim=1,
         )
         net = lstm.init_network(4, 1, 1, rng=np.random.default_rng(32))
         with pytest.raises(DivergenceError) as excinfo:
@@ -169,8 +165,6 @@ def overfit_probe_dataset(default_data, num_windows=8, lookback=30):
     return WindowedDataset(
         inputs=full.inputs[picks].copy(),
         targets=full.targets[picks].copy(),
-        lookback=lookback,
-        input_dim=1,
     )
 
 
@@ -184,9 +178,6 @@ class TestConfigValidation:
             dict(clip_norm=-0.1),
             dict(seed=-1),
             dict(early_stop_patience=0),
-            dict(adam_beta1=1.0),
-            dict(adam_beta2=0.0),
-            dict(adam_eps=0.0),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
