@@ -15,7 +15,6 @@ from .errors import (
     DivergenceError,
     InsufficientDataError,
     ModelFormatError,
-    NumericError,
     ShapeError,
     ValidationError,
 )
@@ -30,14 +29,13 @@ from .lstm import (
 )
 from .model import ModelConfig, TrainedModel, load_model, save_model
 from .oracle import (
+    SPECIMENS,
     BoucWenParams,
     LoadingProtocol,
     Series,
     generate_protocol,
     simulate,
     simulate_trace,
-    specimen_a,
-    specimen_b,
 )
 from .sweep import DEFAULT_GRID, SweepReport, emit_predictions, fit_model, run_sweep
 from .training import TrainConfig, TrainReport, nrmse, train
@@ -59,7 +57,7 @@ __all__ = [
     "ModelFormatError",
     "NetworkParams",
     "NormStats",
-    "NumericError",
+    "SPECIMENS",
     "Series",
     "ShapeError",
     "SweepReport",
@@ -83,8 +81,6 @@ __all__ = [
     "save_model",
     "simulate",
     "simulate_trace",
-    "specimen_a",
-    "specimen_b",
     "split_half",
     "train",
     "window",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,8 +26,6 @@ from .model import ModelConfig, load_fields, load_model, save_model
 from .oracle import BoucWenParams, LoadingProtocol
 from .sweep import DEFAULT_GRID, fit_model
 from .training import TrainConfig
-
-_SPECIMENS = {"a": oracle.specimen_a, "b": oracle.specimen_b}
 
 #: The longest file name, in bytes, that common file systems allow.
 _NAME_MAX = 255
@@ -47,8 +46,9 @@ def load_config(path=None) -> ExperimentConfig:
 
     A missing or ``null`` section means its defaults; grid names must be
     plain file names with distinct ``_key``s, so ``--model`` picks exactly
-    one, and short enough that every sweep file name fits in ``_NAME_MAX``
-    bytes. Any malformed input raises ConfigError.
+    one, that the file system can encode, and short enough that every
+    sweep file name fits in ``_NAME_MAX`` bytes. Any malformed input
+    raises ConfigError.
     """
     doc = {}
     if path is not None:
@@ -73,8 +73,11 @@ def load_config(path=None) -> ExperimentConfig:
         if any(char in model.name for char in "/\\\0"):
             message = f"{model.name!r} must be a plain file name, without '/', '\\' or NUL"
             raise ConfigError(f"{path}: {where} {message}", field=where)
-        # surrogatepass: a YAML escape can give a lone surrogate, which strict UTF-8 rejects
-        longest = max(len(file.encode(errors="surrogatepass")) for file in _entry_files(model.name))
+        try:  # a YAML escape can give a lone surrogate, which no file name can hold
+            longest = max(len(os.fsencode(file)) for file in _entry_files(model.name))
+        except UnicodeEncodeError:
+            message = f"{model.name!r} cannot be encoded as a file name"
+            raise ConfigError(f"{path}: {where} {message}", field=where) from None
         if longest > _NAME_MAX:
             message = f"is too long: its sweep files need {longest} bytes, over {_NAME_MAX}"
             raise ConfigError(f"{path}: {where} {message}", field=where)
@@ -116,9 +119,9 @@ def _preflight(inputs: dict, outputs: dict, out_dir_files=()) -> None:
 
     ``inputs`` and ``outputs`` map each flag to its path, or to None when
     it is unset. An input must be a file. An output's parent directory
-    must exist, and an existing output must be a directory exactly when
-    its flag is ``--out-dir``. No two paths may be one file, counting the
-    ``out_dir_files`` a sweep will write in ``--out-dir``, so no command
+    must exist, and an existing output, counting the ``out_dir_files`` a
+    sweep will write in ``--out-dir``, must be a directory exactly when
+    its flag is ``--out-dir``. No two paths may be one file, so no command
     overwrites its own input or one output with another.
     """
     inputs = {flag: Path(path) for flag, path in inputs.items() if path is not None}
@@ -126,16 +129,17 @@ def _preflight(inputs: dict, outputs: dict, out_dir_files=()) -> None:
     for path in inputs.values():
         if not path.is_file():
             raise ConfigError(f"input file not found: {path}")
-    for flag, path in outputs.items():
+    for path in outputs.values():
         parent = path.resolve().parent
         if not parent.is_dir():
             raise ConfigError(f"output directory does not exist: {parent}")
+    for name in out_dir_files:
+        outputs[f"--out-dir {name}"] = outputs["--out-dir"] / name
+    for flag, path in outputs.items():
         directory = flag == "--out-dir"
         if path.exists() and path.is_dir() != directory:
             kind = "is not a directory" if directory else "is a directory"
             raise ConfigError(f"output path exists and {kind}: {path}")
-    for name in out_dir_files:
-        outputs[f"--out-dir {name}"] = outputs["--out-dir"] / name
     seen = {}
     for flag, path in {**inputs, **outputs}.items():
         first = seen.setdefault(path.resolve(), flag)
@@ -153,11 +157,8 @@ def cmd_generate(args) -> int:
     _preflight({"--config": args.config}, {"--out": out})
     params = config.oracle
     if args.specimen is not None:
-        params = _SPECIMENS[args.specimen]()
-    protocol = config.protocol
-    if args.delta_y is not None:
-        protocol = dataclasses.replace(protocol, delta_y=args.delta_y)
-    disp = oracle.generate_protocol(protocol)
+        params = oracle.SPECIMENS[args.specimen]
+    disp = oracle.generate_protocol(config.protocol)
     force = oracle.simulate(params, disp)
     oracle.write_csv(out, disp, force)
     print(
@@ -242,8 +243,8 @@ def cmd_predict(args) -> int:
     _preflight({"--model": args.model, "--data": args.data}, {"--out": out})
     model = load_model(args.model)
     disp, force = oracle.read_csv(args.data)
-    windows = sweep_mod.window(disp, force, model.stats, model.config.lookback)
-    sweep_mod.emit_predictions(model, disp, force, sweep_mod.predict_record(model, windows), out)
+    data = sweep_mod.window(disp, force, model.stats, model.config.lookback)
+    sweep_mod.emit_predictions(model, disp, force, model.predict(data.inputs), out)
     print(f"wrote {out}")
     return 0
 
@@ -271,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="generate a protocol/force CSV dataset")
     gen.add_argument("--config", help="YAML experiment config")
     gen.add_argument("--out", required=True, help="output CSV path")
-    gen.add_argument("--delta-y", type=float, dest="delta_y", help="override yield displacement")
-    gen.add_argument("--specimen", choices=sorted(_SPECIMENS), help="use a built-in oracle preset")
+    gen.add_argument("--specimen", choices=sorted(oracle.SPECIMENS),
+                     help="use a built-in oracle preset")
     gen.set_defaults(func=cmd_generate)
 
     tr = sub.add_parser("train", help="train one grid model on a dataset")

@@ -32,12 +32,8 @@ class ConfigError(ValidationError):
     """An experiment config file is malformed or contains unknown keys."""
 
 
-class NumericError(BraceLearnError, ArithmeticError):
-    """A computation produced a non-finite value."""
-
-
 class DivergenceError(BraceLearnError, RuntimeError):
-    """Numerical state blew up during integration or training.
+    """Numerical state blew up during integration, training or a cell step.
 
     ``index`` is the sample index for simulator divergence, ``epoch`` the
     epoch index for training divergence; ``losses`` holds the loss of

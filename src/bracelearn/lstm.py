@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import NumericError, ShapeError, ValidationError
+from .errors import DivergenceError, ShapeError, ValidationError
 
 _GATE_ORDER = ("i", "f", "o", "g")
 
@@ -253,7 +253,7 @@ def cell_forward(params: CellParams, x_t: np.ndarray, prev: CellState) -> CellSt
     if prev.h.shape != (hidden,) or prev.c.shape != (hidden,):
         raise ShapeError(f"state vectors must have shape {(hidden,)}")
 
-    # non-finite states raise NumericError instead of surfacing as warnings
+    # non-finite states raise DivergenceError instead of surfacing as warnings
     with np.errstate(invalid="ignore", over="ignore"):
         i = _sigmoid(params.Wx_i @ x_t + params.Wh_i @ prev.h + params.b_i)
         f = _sigmoid(params.Wx_f @ x_t + params.Wh_f @ prev.h + params.b_f)
@@ -262,7 +262,7 @@ def cell_forward(params: CellParams, x_t: np.ndarray, prev: CellState) -> CellSt
         c = f * prev.c + i * g
         h = o * np.tanh(c)
     if not (np.isfinite(h).all() and np.isfinite(c).all()):
-        raise NumericError("cell state became non-finite")
+        raise DivergenceError("cell state became non-finite")
     return CellState(h=h, c=c)
 
 

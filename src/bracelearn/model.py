@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import NormStats
+from .dataset import NormStats, denormalize
 from .errors import ModelFormatError, ValidationError, check, count
 from .lstm import CellParams, NetworkParams, predict
 
@@ -42,14 +42,14 @@ class TrainedModel:
     stats: NormStats
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
-        """Normalized-force predictions for normalized input windows."""
+        """Force, in the record's units, predicted for each normalized input window."""
         windows = np.asarray(windows, dtype=np.float64)
         if windows.ndim != 3 or windows.shape[1] != self.config.lookback:
             raise ValidationError(
                 f"windows must be (num, {self.config.lookback}, input_dim), "
                 f"got {windows.shape}"
             )
-        return predict(self.net, windows)
+        return denormalize(predict(self.net, windows), self.stats)
 
 
 @dataclass

@@ -148,16 +148,12 @@ class BoucWenParams:
         )
 
 
-def specimen_a() -> BoucWenParams:
-    """Default parameter set: moderately degrading steel-like brace."""
-    return BoucWenParams()
-
-
-def specimen_b() -> BoucWenParams:
-    """Softer, more sharply degrading variant (aluminum-like brace)."""
-    return BoucWenParams(
-        k=8.0, alpha=0.03, n=2.0, delta_nu=0.15, delta_eta=0.50, asym=2.0
-    )
+#: The built-in presets: "a" is the defaults, a moderately degrading steel-like
+#: brace; "b" is softer and degrades more sharply, like an aluminum brace.
+SPECIMENS = {
+    "a": BoucWenParams(),
+    "b": BoucWenParams(k=8.0, alpha=0.03, n=2.0, delta_nu=0.15, delta_eta=0.50, asym=2.0),
+}
 
 
 def generate_protocol(protocol: LoadingProtocol) -> Series:
@@ -301,12 +297,16 @@ def read_csv(path, raw: bytes | None = None) -> tuple[Series, Series]:
 
     ``raw``, when given, is the file's content already read (so a caller
     can hash the very bytes that were parsed); ``path`` then only names
-    the file in messages. A row with the wrong number of fields, a
-    non-numeric cell, a non-finite value, a ``t`` off the uniform grid
-    from the first to the last row (by more than 1e-6 of the step) or a
-    ``t`` column that does not increase raises ValidationError naming the
-    file and line. ``dt`` is the first step, ``t[1] - t[0]``, and ``t0``
-    the first ``t``. A leading UTF-8 byte-order mark is skipped.
+    the file in messages. A header other than ``CSV_HEADER``, a line the
+    CSV reader rejects (such as one with a field past its size limit), a
+    row with the wrong number of fields, a non-numeric cell, a non-finite
+    value, a ``t`` off the uniform grid from the first to the last row (by
+    more than 1e-6 of the step) or a ``t`` column that does not increase
+    raises ValidationError naming the file and line. A ``t`` column whose
+    span passes the float range raises it naming the file and the first
+    and last ``t``.
+    ``dt`` is the first step, ``t[1] - t[0]``, and ``t0`` the first ``t``.
+    A leading UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
     if raw is None:
@@ -315,29 +315,36 @@ def read_csv(path, raw: bytes | None = None) -> tuple[Series, Series]:
     # undecodable byte becomes U+FFFD, which the row checks then reject
     with io.StringIO(raw.decode("utf-8-sig", errors="replace"), newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise ValidationError(
-                f"{path}: expected header {','.join(CSV_HEADER)!r}, got {header!r}"
-            )
         rows = []
-        for row in reader:
-            try:
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != CSV_HEADER:
+                raise ValueError(f"expected header {','.join(CSV_HEADER)!r}, got {header!r}")
+            for row in reader:
                 if len(row) != len(CSV_HEADER):
                     raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(row)}")
                 values = [float(cell) for cell in row]  # float's error names the bad cell
                 if not all(map(math.isfinite, values)):
                     raise ValueError(f"non-finite value in {row}")
-            except ValueError as exc:
-                raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from None
-            rows.append(values)
+                rows.append(values)
+        # csv.Error: the reader rejects a line, such as one with an over-long field
+        except (csv.Error, ValueError) as exc:
+            # an empty file has no line 1, where its header belongs
+            raise ValidationError(f"{path}, line {reader.line_num or 1}: {exc}") from None
     if len(rows) < 2:
         raise ValidationError(f"{path}: need at least 2 data rows, got {len(rows)}")
     t = np.array([r[0] for r in rows])
-    # a uniform column is t0 + i*step; the first row off that grid is named
-    step = float(t[-1] - t[0]) / (len(t) - 1)
-    grid = t[0] + np.arange(len(t)) * step
-    off = np.flatnonzero(np.abs(t - grid) > 1e-6 * abs(step))
+    # a uniform column is t0 + i*step; the first row off that grid is named.
+    # A span past the float range is rejected, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = float(t[-1] - t[0]) / (len(t) - 1)
+        grid = t[0] + np.arange(len(t)) * step
+        off = np.flatnonzero(np.abs(t - grid) > 1e-6 * abs(step))
+    if not math.isfinite(step):
+        raise ValidationError(
+            f"{path}: the t column runs from {float(t[0])!r} to {float(t[-1])!r}, "
+            f"a span past the float range"
+        )
     if off.size:
         row = int(off[0])
         raise ValidationError(

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
-from .dataset import WindowedDataset, denormalize, fit_norm, split_half, split_point, window
+from .dataset import denormalize, fit_norm, split_half, split_point, window
 from .errors import DegenerateDataError, DivergenceError, InsufficientDataError
 from .lstm import init_network
 from .model import ModelConfig, TrainedModel
@@ -145,11 +145,6 @@ def _halves(config: ModelConfig, force: oracle.Series) -> tuple[slice, slice]:
     return fit, held_out
 
 
-def predict_record(model: TrainedModel, data: WindowedDataset) -> np.ndarray:
-    """Physical-unit force predicted for every window of a record, in order."""
-    return denormalize(model.predict(data.inputs), model.stats)
-
-
 def fit_model(
     disp: oracle.Series,
     force: oracle.Series,
@@ -175,7 +170,7 @@ def fit_model(
     net = init_network(config.neurons, config.hidden_layers, rng=np.random.default_rng(seed))
     net, report = train(net, train_set, dataclasses.replace(cfg, seed=seed))
     model = TrainedModel(net=net, config=config, stats=stats)
-    preds = report.predictions = predict_record(model, data)
+    preds = report.predictions = model.predict(data.inputs)
     targets = denormalize(data.targets, stats)
     # an overflowing error is the divergence signal, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -215,7 +210,7 @@ def run_sweep(
                 SweepEntry(config=config, report=train_report, model=trained)
             )
         except DivergenceError as exc:
-            partial = TrainReport(losses=exc.losses, seed=derive_seed(cfg.seed, config.name))
+            partial = TrainReport(losses=exc.losses)
             report.entries.append(
                 SweepEntry(config=config, report=partial, error=str(exc))
             )
@@ -240,7 +235,7 @@ def emit_predictions(model: TrainedModel, disp, force, preds, out_csv) -> None:
     """Write ``t,displacement,force_true,force_pred,split`` over the full record.
 
     The first three fields are ``oracle.sample_rows``, as in the data CSV.
-    ``preds`` is the force predicted for every window (``predict_record``);
+    ``preds`` is the force predicted for every window (``TrainedModel.predict``);
     the first ``lookback - 1`` rows end no window and leave force_pred
     empty. The split column tags each sample by ``split_point``.
     """

@@ -174,7 +174,7 @@ def test_criterion_6_extrapolated_strength_degradation(default_pair, trained_mod
     trained, _, _ = trained_model_3a
     lookback = trained.config.lookback
     windows = dataset.window(disp, force, trained.stats, lookback)
-    preds = dataset.denormalize(trained.predict(windows.inputs), trained.stats)
+    preds = trained.predict(windows.inputs)
 
     def predicted_peak(cycle_lo: int, cycle_hi: int) -> float:
         start = max(cycle_lo * PPC - (lookback - 1), 0)

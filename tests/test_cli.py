@@ -85,18 +85,18 @@ class TestGenerate:
         assert len(lines) == 5201 + 1
         assert "5201 samples" in capsys.readouterr().out
 
-    def test_delta_y_override_scales_peak(self, tiny_config, tmp_path, capsys):
+    def test_delta_y_override_scales_peak(self, tmp_path):
+        config = write_config(tmp_path / "c.yaml", protocol={**TINY_PROTOCOL, "delta_y": 0.2})
         out = tmp_path / "data.csv"
-        assert main(
-            ["generate", "--config", tiny_config, "--out", str(out), "--delta-y", "0.2"]
-        ) == 0
+        assert main(["generate", "--config", config, "--out", str(out)]) == 0
         disp, _ = oracle.read_csv(out)
         assert disp.values.max() == pytest.approx(3.0 * 0.2)
 
     def test_delta_y_override_default_protocol(self, tmp_path):
         # default amplitude factors top out at 10x the yield displacement
+        config = write_config(tmp_path / "c.yaml", protocol={"delta_y": 0.2})
         out = tmp_path / "data.csv"
-        assert main(["generate", "--out", str(out), "--delta-y", "0.2"]) == 0
+        assert main(["generate", "--config", config, "--out", str(out)]) == 0
         disp, _ = oracle.read_csv(out)
         assert disp.values.max() == pytest.approx(2.0)
 
@@ -131,15 +131,17 @@ class TestGenerate:
 
 
     def test_overflowing_peak_exits_2(self, tmp_path, capsys):
-        code = main(["generate", "--out", str(tmp_path / "d.csv"), "--delta-y", "1e308"])
+        config = write_config(tmp_path / "c.yaml", protocol={"delta_y": 1e308})
+        code = main(["generate", "--config", config, "--out", str(tmp_path / "d.csv")])
         assert code == 2
         assert "delta_y" in capsys.readouterr().err
 
     def test_overflowing_rate_exits_3_without_warnings(self, tmp_path, capsys):
         # the peak 1e308 is finite, but the finite-difference rate is not
+        config = write_config(tmp_path / "c.yaml", protocol={"delta_y": 1e307})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["generate", "--out", str(tmp_path / "d.csv"), "--delta-y", "1e307"])
+            code = main(["generate", "--config", config, "--out", str(tmp_path / "d.csv")])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: hysteresis state became non-finite") and "Warning" not in err
@@ -265,9 +267,10 @@ class TestStrictConfig:
         with pytest.raises(ConfigError, match="'m-a'.*'ma'"):
             load_config(config)
 
-    # the last is too long: predictions_<name>.csv would need 266 bytes
-    @pytest.mark.parametrize("name", ["x/y", "x\\y", "../up", "x" * 250],
-                             ids=["x/y", "x\\y", "../up", "250-chars"])
+    # "x" * 250 is too long: predictions_<name>.csv would need 266 bytes;
+    # a lone surrogate, which a YAML escape gives, has no file-name encoding
+    @pytest.mark.parametrize("name", ["x/y", "x\\y", "../up", "x" * 250, "a\ud800"],
+                             ids=["x/y", "x\\y", "../up", "250-chars", "surrogate"])
     def test_grid_name_must_be_plain_file_name(self, tiny_cli_csv, tmp_path, capsys, name):
         config = write_config(
             tmp_path / "c.yaml",
@@ -509,6 +512,23 @@ class TestSweepCommand:
         assert reports[0] == reports[1]
         assert "best model:" in capsys.readouterr().out
 
+    def test_directory_at_a_sweep_file_rejected_before_training(
+        self, tiny_config, tiny_cli_csv, tmp_path, capsys, monkeypatch
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit_model must not run")
+
+        monkeypatch.setattr(sweep_mod, "fit_model", no_fit)
+        out_dir = tmp_path / "sw"
+        taken = out_dir / "loss_wide.csv"
+        taken.mkdir(parents=True)
+        before = snapshot(out_dir)
+        code = main(["sweep", "--config", tiny_config, "--data", str(tiny_cli_csv),
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert f"output path exists and is a directory: {taken}" in capsys.readouterr().err
+        assert snapshot(out_dir) == before
+
     def test_prediction_csv_shape(self, tiny_config, tiny_cli_csv, tmp_path):
         out_dir = tmp_path / "sweep"
         assert main(
@@ -669,6 +689,43 @@ class TestSameFile:
         assert code == 2
         assert f"{first} and {second} are the same file" in capsys.readouterr().err
         assert snapshot(tmp_path) == before
+
+
+class TestPreflightGuard:
+    """Every file a command writes is one that its pre-flight checked."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--config", "config.yaml", "--out", "gen.csv"],
+            ["train", "--config", "config.yaml", "--data", "data.csv", "--model", "small",
+             "--out", "m.json", "--loss-csv", "loss.csv"],
+            ["predict", "--model", "seeded.json", "--data", "data.csv", "--out", "pred.csv"],
+            ["sweep", "--config", "config.yaml", "--data", "data.csv", "--out-dir", "sw"],
+        ],
+        ids=["generate", "train", "predict", "sweep"],
+    )
+    def test_every_written_file_was_checked(
+        self, tiny_config, tiny_cli_csv, tmp_path, monkeypatch, argv
+    ):
+        import bracelearn.cli
+
+        checked = set()
+        preflight = bracelearn.cli._preflight
+
+        def recording(inputs, outputs, out_dir_files=()):
+            checked.update(Path(path).resolve() for path in outputs.values() if path is not None)
+            checked.update((Path(outputs["--out-dir"]) / name).resolve() for name in out_dir_files)
+            return preflight(inputs, outputs, out_dir_files)
+
+        monkeypatch.setattr(bracelearn.cli, "_preflight", recording)
+        monkeypatch.chdir(tmp_path)
+        save_seeded_model(tmp_path / "seeded.json")
+        before = snapshot(tmp_path)
+        assert main(argv) == 0
+        written = {path.resolve() for path in tmp_path.rglob("*")
+                   if path.is_file() and path not in before}
+        assert written and written <= checked
 
 
 class TestPredict:

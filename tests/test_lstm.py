@@ -71,11 +71,11 @@ class TestCellForward:
             assert np.all((state.h > -1) & (state.h < 1))
 
     def test_non_finite_state_raises(self):
-        from bracelearn.errors import NumericError
+        from bracelearn.errors import DivergenceError
 
         cell = scalar_cell(Wh_i=[[1.0]])
         bad_prev = CellState(h=np.array([np.inf]), c=np.zeros(1))
-        with pytest.raises(NumericError):
+        with pytest.raises(DivergenceError):
             lstm.cell_forward(cell, np.array([0.0]), bad_prev)
 
     def test_empty_window_rejected(self):

@@ -73,8 +73,13 @@ class TestPinnedFile:
         model.save_model(path, pinned)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SHA256
         windows = np.random.default_rng(1).normal(size=(5, 4, 1))
+        # PREDICTIONS are the network's normalized outputs; the model maps them
+        # to force with its std_y and mean_y
         np.testing.assert_allclose(
-            model.load_model(path).predict(windows), self.PREDICTIONS, rtol=0, atol=1e-12
+            model.load_model(path).predict(windows),
+            np.array(self.PREDICTIONS) * 2.0 - 0.5,
+            rtol=0,
+            atol=1e-12,
         )
 
 

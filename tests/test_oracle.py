@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bracelearn import oracle
 from bracelearn.errors import DivergenceError, ValidationError
@@ -103,15 +105,15 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "specimen, sha256",
         [
-            (oracle.specimen_a, "8efd6d41022f6fb7a8cb939dfe901780e507ca80f427a7b26ab16f6349252bc7"),
-            (oracle.specimen_b, "461f4612066c30bc4f9bfe51ccc8a4a2c2ab9e3414c8f2fa91f9b84c66d6f497"),
+            (oracle.SPECIMENS["a"], "8efd6d41022f6fb7a8cb939dfe901780e507ca80f427a7b26ab16f6349252bc7"),
+            (oracle.SPECIMENS["b"], "461f4612066c30bc4f9bfe51ccc8a4a2c2ab9e3414c8f2fa91f9b84c66d6f497"),
         ],
         ids=["a", "b"],
     )
     def test_trace_is_pinned(self, default_data, specimen, sha256):
         # recorded once: any change to the velocity or the RK4 arithmetic moves these bytes
         disp, _ = default_data
-        trace = oracle.simulate_trace(specimen(), disp)
+        trace = oracle.simulate_trace(specimen, disp)
         raw = trace.force.values.tobytes() + trace.z.tobytes() + trace.energy.tobytes()
         assert hashlib.sha256(raw).hexdigest() == sha256
 
@@ -296,7 +298,7 @@ class TestCsv:
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,disp,force\n0,0,0\n1,1,1\n")
-        with pytest.raises(ValidationError, match="header"):
+        with pytest.raises(ValidationError, match="bad.csv, line 1: expected header"):
             oracle.read_csv(path)
 
     @pytest.mark.parametrize(
@@ -337,6 +339,55 @@ class TestCsv:
                      "--out", str(tmp_path / "m.json")])
         assert code == 2
         assert "bad.csv, line 3" in capsys.readouterr().err
+
+    # the csv reader's default field limit is 131,072 characters
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (f"t,displacement,force\n0,{'1' * 200_000},0\n1,1,1\n", 2),
+            (f"t,{'d' * 200_000},force\n0,0,0\n1,1,1\n", 1),
+        ],
+        ids=["row", "header"],
+    )
+    def test_over_long_field_names_file_and_line(self, tmp_path, capsys, text, line):
+        from bracelearn.cli import main
+
+        path = tmp_path / "big.csv"
+        path.write_text(text)
+        message = f"big.csv, line {line}: field larger than field limit"
+        with pytest.raises(ValidationError, match=message):
+            oracle.read_csv(path)
+        code = main(["train", "--data", str(path), "--model", "Model 1",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert f"big.csv, line {line}" in capsys.readouterr().err
+
+    def test_t_span_past_float_range_names_file(self, tmp_path, capsys):
+        from bracelearn.cli import main
+
+        path = tmp_path / "wide.csv"
+        path.write_text("t,displacement,force\n-1e308,0,0\n1e308,1,1\n")
+        message = r"wide.csv: the t column runs from -1e\+308 to 1e\+308"
+        with pytest.raises(ValidationError, match=message):
+            oracle.read_csv(path)
+        code = main(["train", "--data", str(path), "--model", "Model 1",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "wide.csv: the t column" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from([1.7e308, -1.7e308, -1e-320, 0.0, 1.0]),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ), max_size=5))
+    def test_finite_rows_read_or_name_file(self, rows):
+        text = "t,displacement,force\n" + "".join(f"{t!r},{x!r},{f!r}\n" for t, x, f in rows)
+        try:
+            oracle.read_csv("prop.csv", text.encode())
+        except ValidationError as exc:
+            assert "prop.csv" in str(exc)
 
     def test_first_t_kept(self, tmp_path):
         path = tmp_path / "late.csv"

@@ -9,7 +9,7 @@ from bracelearn import dataset, lstm, sweep, training
 from bracelearn.errors import DegenerateDataError, ValidationError
 from bracelearn.model import ModelConfig, TrainedModel
 from bracelearn.sweep import (
-    DEFAULT_GRID, derive_seed, emit_predictions, fit_model, predict_record, run_sweep,
+    DEFAULT_GRID, derive_seed, emit_predictions, fit_model, run_sweep,
 )
 from bracelearn.training import TrainConfig
 from conftest import IDENTITY_STATS
@@ -177,7 +177,7 @@ def emit(model, record, out):
     """Predict every window of ``record`` and write the prediction CSV."""
     disp, force = record
     data = sweep.window(disp, force, model.stats, model.config.lookback)
-    emit_predictions(model, disp, force, predict_record(model, data), out)
+    emit_predictions(model, disp, force, model.predict(data.inputs), out)
 
 
 class TestEmitPredictions:
