@@ -153,6 +153,10 @@ def train(
     ``max_epochs`` or once the epoch loss has failed to improve on the
     best seen by at least MIN_IMPROVEMENT for ``early_stop_patience``
     consecutive epochs. It only trains: ``sweep.fit_model`` evaluates.
+
+    The call allocates one ``Tape`` and refills it for every batch, so the
+    tape and backward buffers are allocated once and only one batch's
+    activations are alive at a time.
     """
     if net.input_dim != train_set.input_dim:
         raise ValidationError(
@@ -164,6 +168,7 @@ def train(
     targets = train_set.targets
     num = train_set.num_windows
     adam = _AdamState(net.flat)
+    tape = None
 
     started = time.perf_counter()
     losses: list[float] = []
@@ -174,7 +179,7 @@ def train(
         accumulated = 0.0
         for start in range(0, num, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            preds, tape = forward_batch(net, inputs[idx])
+            preds, tape = forward_batch(net, inputs[idx], tape)
             residual = preds - targets[idx]
             # an overflowing loss is the divergence signal, not a warning
             with np.errstate(over="ignore"):

@@ -210,6 +210,32 @@ class TestBackward:
         with pytest.raises(ValidationError, match="tape"):
             lstm.backward_batch(net_b, tape, np.array([1.0]))
 
+    def test_refilled_tape_matches_fresh_calls(self):
+        # a tape refilled at batch sizes 7, 3 and 7 gives a fresh tape's bits
+        rng = np.random.default_rng(11)
+        net = lstm.init_network(5, 3, 1, rng=rng)
+        _, tape = lstm.forward_batch(net, rng.normal(size=(7, 6, 1)))
+        first_gates = tape.layers[1].gates
+        for batch in (7, 3, 7):
+            windows = rng.normal(size=(batch, 6, 1))
+            seeds = rng.normal(size=batch)
+            preds, refilled = lstm.forward_batch(net, windows, tape)
+            assert refilled is tape
+            assert np.shares_memory(tape.layers[1].gates, first_gates)  # no new buffer
+            grads = lstm.backward_batch(net, tape, seeds).flat.copy()
+            fresh_preds, fresh = lstm.forward_batch(net, windows)
+            np.testing.assert_array_equal(preds, fresh_preds)
+            np.testing.assert_array_equal(grads, lstm.backward_batch(net, fresh, seeds).flat)
+
+    def test_refill_with_other_network_rejected(self):
+        rng = np.random.default_rng(13)
+        net_a = lstm.init_network(4, 1, 1, rng=rng)
+        net_b = lstm.init_network(4, 1, 1, rng=rng)
+        windows = rng.normal(size=(2, 5, 1))
+        _, tape = lstm.forward_batch(net_a, windows)
+        with pytest.raises(ValidationError, match="tape"):
+            lstm.forward_batch(net_b, windows, tape)
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
         net = lstm.init_network(4, 2, 1, rng=rng)

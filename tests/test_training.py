@@ -135,6 +135,24 @@ class TestTrain:
         _, report = training.train(net, data, cfg)
         assert report.epochs_run == 5  # first epoch sets best, then 4 stale
 
+    def test_holds_one_tape_at_a_time(self):
+        # every batch refills one tape, so the peak stays near one tape's
+        # bytes; a fresh tape per batch would briefly hold two
+        import tracemalloc
+
+        hid, layers, steps, batch = 8, 4, 30, 64
+        data = toy_dataset(num_windows=197, lookback=steps, seed=34)  # last batch of 5
+        net = lstm.init_network(hid, layers, 1, rng=np.random.default_rng(34))
+        per_layer = steps * 4 * hid + (steps + 1) * hid * 2 + steps * hid  # gates, c, h, tanh_c
+        tape_bytes = 8 * batch * (steps * 1 + layers * per_layer)  # plus layer 0's inputs
+        tracemalloc.start()
+        try:
+            training.train(net, data, TrainConfig(batch_size=batch, max_epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * tape_bytes
+
 
 class TestPinnedTraining:
     """A small seeded run's losses and final weights, recorded once.
