@@ -27,8 +27,11 @@ the engine is tested against.
 
 from __future__ import annotations
 
+import contextvars
 import copy
 import math
+import os
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -312,18 +315,14 @@ class Tape:
     _buffers: dict[object, np.ndarray] = field(default_factory=dict, repr=False)
     _grads: NetworkParams | None = field(default=None, repr=False)
 
-    def _take(self, key: object, shape: tuple[int, ...]) -> np.ndarray:
-        """A ``shape`` view of the start of buffer ``key``, grown to fit if needed."""
-        size = math.prod(shape)
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < size:
-            buf = self._buffers[key] = np.empty(size)
-        return buf[:size].reshape(shape)
 
-
-def _fresh(key: object, shape: tuple[int, ...]) -> np.ndarray:
-    """``Tape._take`` for a pass without a tape: a new array every time."""
-    return np.empty(shape)
+def _take(buffers: dict[object, np.ndarray], key: object, shape: tuple[int, ...]) -> np.ndarray:
+    """A ``shape`` view of the start of ``buffers[key]``, grown to fit if needed."""
+    size = math.prod(shape)
+    buf = buffers.get(key)
+    if buf is None or buf.size < size:
+        buf = buffers[key] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def _windows(net: NetworkParams, windows: np.ndarray) -> np.ndarray:
@@ -338,50 +337,53 @@ def _windows(net: NetworkParams, windows: np.ndarray) -> np.ndarray:
     return x
 
 
-def _run(net: NetworkParams, x: np.ndarray, tape: Tape | None) -> np.ndarray:
+def _run(
+    net: NetworkParams, x: np.ndarray, buffers: dict[object, np.ndarray], tape: Tape | None = None
+) -> np.ndarray:
     """Step the stack over a batch of windows; returns the predictions.
 
     The windows are transposed to (T, in, B) and fed through the layers
-    in turn. With a tape every layer's activations are written into it
-    for backward_batch; without, only the current layer's input and
-    output h sequences are alive at any time, so peak memory is one
-    layer of the batch rather than the whole stack.
+    in turn, every array a view of ``buffers`` (see ``_take``). With a
+    tape every layer's activations are kept for backward_batch; without,
+    the layers reuse one layer's buffers, so peak memory is one layer of
+    the batch rather than the whole stack.
     """
-    take = _fresh if tape is None else tape._take
     if tape is not None:
         tape.layers = []
     batch, steps, in_size = x.shape
-    inp = take("inputs", (steps, in_size, batch))
+    inp = _take(buffers, "inputs", (steps, in_size, batch))
     inp[...] = x.transpose(1, 2, 0)
     for k, cell in enumerate(net.cells):
-        inp = _layer(cell, k, inp, tape)
+        inp = _layer(cell, k, inp, buffers, tape)
     return net.W_out @ inp[-1] + net.b_out[0]
 
 
-def _layer(cell: CellParams, k: int, inp: np.ndarray, tape: Tape | None) -> np.ndarray:
+def _layer(
+    cell: CellParams, k: int, inp: np.ndarray, buffers: dict[object, np.ndarray], tape: Tape | None
+) -> np.ndarray:
     """Step cell ``k`` over ``inp`` (T, in, B); returns its h sequence (T, H, B).
 
     The input projection of every step is one batched GEMM into a
     (T, 4H, B) buffer; step ``t`` adds ``wh @ h_prev`` to its slice and
     overwrites it in place with the gate activations. With a tape, every
-    array is one of its buffers and the layer's activations are appended
-    to it; without, the arrays are new, c and tanh(c) roll over two rows
-    and one row, and the gate buffer is freed on return.
+    array is a buffer of layer ``k`` and the layer's activations are
+    appended to it. Without, all layers share slot 0 and c and tanh(c)
+    roll over two rows and one row; only h alternates between slots 0
+    and 1, because layer ``k`` reads layer ``k - 1``'s.
     """
-    take = _fresh if tape is None else tape._take
     steps, _, batch = inp.shape
     hid = cell.hidden_size
     # with a tape, c[t] and c[t + 1] below; without, two rolling rows
-    rows = steps if tape is not None else 1
-    gates = np.matmul(cell.wx, inp, out=take(("gates", k), (steps, 4 * hid, batch)))
+    slot, h_slot, rows = (k, k, steps) if tape is not None else (0, k % 2, 1)
+    gates = np.matmul(cell.wx, inp, out=_take(buffers, ("gates", slot), (steps, 4 * hid, batch)))
     gates += cell.b[:, None]
-    h = take(("h", k), (steps + 1, hid, batch))
-    c = take(("c", k), (rows + 1, hid, batch))
-    tanh_c = take(("tanh_c", k), (rows, hid, batch))
+    h = _take(buffers, ("h", h_slot), (steps + 1, hid, batch))
+    c = _take(buffers, ("c", slot), (rows + 1, hid, batch))
+    tanh_c = _take(buffers, ("tanh_c", slot), (rows, hid, batch))
     h[0] = 0.0
     c[0] = 0.0
-    rec = take("rec", (4 * hid, batch))
-    ig = take("ig", (hid, batch))
+    rec = _take(buffers, "rec", (4 * hid, batch))
+    ig = _take(buffers, "ig", (hid, batch))
     for t in range(steps):
         a = gates[t]
         a += np.matmul(cell.wh, h[t], out=rec)
@@ -412,7 +414,7 @@ def forward_batch(
         tape = Tape(net=net)
     elif tape.net is not net:
         raise ValidationError("tape does not belong to this network")
-    return _run(net, x, tape), tape
+    return _run(net, x, tape._buffers, tape), tape
 
 
 def backward_batch(
@@ -442,14 +444,14 @@ def backward_batch(
     # gradient of the loss with respect to each step's h, from the layer above;
     # layer k reads it from d_h buffer (k + 1) % 2 and writes layer k - 1's into k % 2
     top = net.num_layers
-    d_h = tape._take(("d_h", top % 2), (steps, net.hidden_size, batch))
+    d_h = _take(tape._buffers, ("d_h", top % 2), (steps, net.hidden_size, batch))
     d_h[:-1] = 0.0
     np.multiply(net.W_out[:, None], d_preds[None, :], out=d_h[-1])
 
     for k in reversed(range(top)):
         cell, grad, lt = net.cells[k], grads.cells[k], tape.layers[k]
         hid = cell.hidden_size
-        d_a = tape._take("d_a", (steps, 4 * hid, batch))
+        d_a = _take(tape._buffers, "d_a", (steps, 4 * hid, batch))
         dh_carry = np.zeros((hid, batch))
         dc_carry = np.zeros((hid, batch))
         for t in range(steps - 1, -1, -1):
@@ -473,9 +475,8 @@ def backward_batch(
         grad.wh[...] = np.tensordot(d_a, lt.h[:-1], axes=([0, 2], [0, 2]))
         d_a.sum(axis=(0, 2), out=grad.b)
         if k > 0:  # the bottom layer's inputs are data, with no gradient to pass on
-            d_h = np.matmul(
-                cell.wx.T, d_a, out=tape._take(("d_h", k % 2), (steps, cell.input_size, batch))
-            )
+            d_h = _take(tape._buffers, ("d_h", k % 2), (steps, cell.input_size, batch))
+            np.matmul(cell.wx.T, d_a, out=d_h)
     return grads
 
 
@@ -485,25 +486,90 @@ def backward_batch(
 
 #: Windows per tapeless pass of ``predict``. A step touches about
 #: 14H float64 per window (its gate slice, the recurrent product, h, c,
-#: tanh(c) and i*g rows), 4.5 KB at H = 40: 256 windows (1.1 MB) stay
-#: inside a 2 MiB per-core L2 cache, where 1024 (4.6 MB) spilled out of it.
-_PREDICT_CHUNK = 256
+#: tanh(c) and i*g rows), 4.5 KB at H = 40, so 128 windows (0.6 MB) stay
+#: inside a 2 MiB per-core L2 cache. At 256 columns each ``wh @ h`` is
+#: large enough for OpenBLAS to split over its own threads, and two
+#: workers' BLAS threads then contend for the same cores.
+_PREDICT_CHUNK = 128
+
+
+def _cores() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _predict_buffers(net: NetworkParams, steps: int, batch: int) -> dict[object, np.ndarray]:
+    """One worker's buffers for tapeless passes of up to ``batch`` windows.
+
+    Keyed as ``_layer`` takes them without a tape and sized for the widest
+    layer, so ``_take`` never grows one: one layer's gates, the h pair,
+    two c rows and one tanh(c) row, ``rec``, ``ig`` and the inputs.
+    """
+    hid = max(cell.hidden_size for cell in net.cells)
+    shapes = {
+        "inputs": (steps, net.input_dim),
+        ("gates", 0): (steps, 4 * hid),
+        ("h", 0): (steps + 1, hid),
+        ("h", 1): (steps + 1, hid),
+        ("c", 0): (2, hid),
+        ("tanh_c", 0): (1, hid),
+        "rec": (4 * hid,),
+        "ig": (hid,),
+    }
+    return {key: np.empty(math.prod(shape) * batch) for key, shape in shapes.items()}
 
 
 def predict(net: NetworkParams, windows: np.ndarray) -> np.ndarray:
-    """Forward-only predictions for many windows, processed in chunks.
+    """Forward-only predictions for many windows, in chunks spread over threads.
 
-    No tape is kept, so peak memory is about one layer's gate buffer for
-    one chunk, (lookback, 4H, _PREDICT_CHUNK) float64. The chunk is small
-    enough that one step's working set fits in a 2 MiB L2 cache (see
-    ``_PREDICT_CHUNK``); every window is computed independently, so the
-    chunk size does not change a single output bit.
+    The windows are cut into chunks of ``_PREDICT_CHUNK``, and chunk ``j``
+    goes to worker ``j % n``. There is one worker per CPU this process may
+    run on, at most one per chunk, and the calling thread is worker 0, so
+    a predict of one chunk starts no thread. The per-step numpy calls and
+    matrix products release the GIL, so the workers run on separate
+    cores. A chunk is computed the same way whichever worker takes it, so
+    the worker count changes no output bit. The chunk size can change the
+    last bits of a short final chunk: BLAS computes the last few columns
+    of a product with an edge kernel chosen by the column count.
+
+    No tape is kept. Each worker reuses one set of buffers for all its
+    chunks and layers (``_predict_buffers``), about 1.5 times one
+    (lookback, 4H, _PREDICT_CHUNK) float64 gate buffer, so peak memory is
+    that times the worker count. The caller allocates every buffer before
+    any thread starts. Workers run in copies of the caller's context, so
+    the caller's ``np.errstate`` holds in them; an exception in a worker
+    is raised in the caller once every thread has joined.
     """
     x = _windows(net, windows)
     out = np.empty(len(x))
-    for start in range(0, len(x), _PREDICT_CHUNK):
-        preds = _run(net, x[start : start + _PREDICT_CHUNK], None)
-        out[start : start + len(preds)] = preds
+    starts = range(0, len(x), _PREDICT_CHUNK)
+    workers = min(_cores(), len(starts)) or 1
+    buffers = [
+        _predict_buffers(net, x.shape[1], min(len(x), _PREDICT_CHUNK)) for _ in range(workers)
+    ]
+    failures: list[BaseException] = []
+
+    def run(k: int) -> None:
+        try:
+            for start in starts[k::workers]:
+                chunk = x[start : start + _PREDICT_CHUNK]
+                out[start : start + len(chunk)] = _run(net, chunk, buffers[k])
+        except BaseException as exc:  # raised in the caller once every thread has joined
+            failures.append(exc)
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, k))
+        for k in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
     return out
 
 

@@ -82,12 +82,41 @@ def _plain(value):
     return value
 
 
+def _json_pieces(value, pad: str = ""):
+    """Yield ``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
+
+    ``value`` is a tree of ``_plain`` values. With ``indent`` set, ``json``
+    encodes every number in pure Python; here each list of scalars goes
+    through the C encoder instead, with an item separator that starts
+    each item on its own line, so the text is the same. A list holds only
+    scalars or only containers, as ``ndarray.tolist`` and ``_plain`` make
+    them.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        ends, items = "{}", [(json.dumps(key) + ": ", value[key]) for key in sorted(value)]
+    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        ends, items = "[]", [("", item) for item in value]
+    elif isinstance(value, list) and value:
+        scalars = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
+        yield "[\n" + inner + scalars + "\n" + pad + "]"
+        return
+    else:
+        yield json.dumps(value)
+        return
+    yield ends[0]
+    for n, (label, item) in enumerate(items):
+        yield (",\n" if n else "\n") + inner + label
+        yield from _json_pieces(item, inner)
+    yield "\n" + pad + ends[1]
+
+
 def save_model(path, model: TrainedModel) -> None:
     """Write the model as a single versioned JSON document."""
     params = _Parameters(model.net.cells, model.net.W_out, float(model.net.b_out[0]))
     tree = _ModelFile(FORMAT_VERSION, model.config, model.stats, params)
     with open(path, "w") as handle:
-        json.dump(_plain(tree), handle, indent=2, sort_keys=True)
+        handle.writelines(_json_pieces(_plain(tree)))
         handle.write("\n")
 
 

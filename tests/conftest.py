@@ -1,5 +1,7 @@
 """Shared fixtures: datasets are expensive enough to build once per session."""
 
+import threading
+
 import pytest
 
 from bracelearn import lstm, oracle
@@ -55,3 +57,12 @@ def corrupt_backward(monkeypatch):
         return grads
 
     monkeypatch.setattr(lstm, "backward_batch", wrong_backward)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a non-daemon thread it started still running."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t for t in threading.enumerate() if t not in before and not t.daemon]
+    assert not leaked, f"threads still running after the test: {leaked}"

@@ -1,6 +1,10 @@
 """Cell equations, the stacked forward pass, and BPTT gradient exactness."""
 
 import math
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -157,18 +161,21 @@ class TestForward:
             assert preds[w] == pytest.approx(single, abs=1e-12)
 
     def test_predict_chunks_equal_forward_batch(self, monkeypatch):
-        # the tapeless pass runs the same arithmetic as the taped one
+        # the tapeless pass runs the same arithmetic as the taped one, on any
+        # number of workers; the last of the five chunks is short
         monkeypatch.setattr(lstm, "_PREDICT_CHUNK", 5)
         rng = np.random.default_rng(21)
         net = lstm.init_network(5, 3, 1, rng=rng)
         windows = rng.normal(size=(23, 7, 1))
-        preds = lstm.predict(net, windows)
         expected = np.concatenate(
             [lstm.forward_batch(net, windows[s : s + 5])[0] for s in range(0, 23, 5)]
         )
-        np.testing.assert_array_equal(preds, expected)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(lstm, "_cores", lambda: workers)
+            np.testing.assert_array_equal(lstm.predict(net, windows), expected)
 
     def test_predict_memory_is_one_layer(self, monkeypatch):
+        # one layer of one chunk per worker
         import tracemalloc
 
         monkeypatch.setattr(lstm, "_PREDICT_CHUNK", 64)
@@ -177,13 +184,102 @@ class TestForward:
         steps, chunk = 30, 64
         windows = rng.normal(size=(3 * chunk, steps, 1))
         gate_bytes = steps * chunk * 4 * net.hidden_size * 8  # one (T, 4H, B) buffer
-        tracemalloc.start()
-        try:
+        for workers in (1, 2):
+            monkeypatch.setattr(lstm, "_cores", lambda: workers)
+            tracemalloc.start()
+            try:
+                lstm.predict(net, windows)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * gate_bytes * workers, workers
+
+
+class TestPredictThreads:
+    """``predict`` spreads its chunks over worker threads that end with the call."""
+
+    @pytest.fixture()
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr(lstm, "_PREDICT_CHUNK", 4)
+        monkeypatch.setattr(lstm, "_cores", lambda: 2)
+
+    def test_workers_keep_the_callers_errstate(self, two_workers):
+        net = lstm.init_network(3, 2, 1, rng=np.random.default_rng(30))
+        net.cells[0].wx[...] = 10.0
+        # only the second chunk, run by worker 1, overflows
+        windows = np.concatenate([np.zeros((4, 3, 1)), np.full((4, 3, 1), 1e308)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             lstm.predict(net, windows)
-            _, peak = tracemalloc.get_traced_memory()
+            assert any("overflow" in str(w.message) for w in caught)
+            caught.clear()
+            with np.errstate(over="ignore"):
+                preds = lstm.predict(net, windows)
+        assert caught == []
+        assert np.isfinite(preds).all()
+
+    def test_worker_exception_reaches_caller_after_every_join(self, two_workers, monkeypatch):
+        real_run, done = lstm._run, []
+
+        def failing_run(net, x, buffers):
+            if x[0, 0, 0] == 4.0:  # the second chunk: worker 1's first
+                time.sleep(0.1)  # fails after the caller has run its own chunks
+                raise KeyError("worker 1")
+            done.append(x[0, 0, 0])
+            return real_run(net, x, buffers)
+
+        monkeypatch.setattr(lstm, "_run", failing_run)
+        net = lstm.init_network(3, 1, 1, rng=np.random.default_rng(31))
+        windows = np.repeat(np.arange(16.0), 2).reshape(16, 2, 1)
+        before = set(threading.enumerate())
+        with pytest.raises(KeyError, match="worker 1"):
+            lstm.predict(net, windows)
+        assert done == [0.0, 8.0]  # worker 0 ran chunks 0 and 2 to the end
+        assert set(threading.enumerate()) <= before
+
+    def test_many_workers_with_fast_switching_match_one(self, monkeypatch):
+        monkeypatch.setattr(lstm, "_PREDICT_CHUNK", 2)
+        rng = np.random.default_rng(33)
+        net = lstm.init_network(3, 2, 1, rng=rng)
+        windows = rng.normal(size=(63, 4, 1))
+        monkeypatch.setattr(lstm, "_cores", lambda: 1)
+        expected = lstm.predict(net, windows)
+        monkeypatch.setattr(lstm, "_cores", lambda: 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            np.testing.assert_array_equal(lstm.predict(net, windows), expected)
         finally:
-            tracemalloc.stop()
-        assert peak < 2 * gate_bytes
+            sys.setswitchinterval(interval)
+
+    def test_worker_buffers_are_allocated_up_front(self):
+        # a worker only takes views of the buffers the caller allocated, for
+        # a short chunk too, whatever the layer widths and the input width
+        rng = np.random.default_rng(34)
+        wide = lstm.init_network(5, 1, 6, rng=rng).cells[0]
+        narrow = lstm.init_network(3, 1, 5, rng=rng).cells[0]
+        for net in (
+            lstm.init_network(4, 3, 6, rng=rng),
+            NetworkParams(cells=[wide, narrow], W_out=np.ones(3), b_out=np.zeros(1)),
+        ):
+            buffers = lstm._predict_buffers(net, 7, 5)
+            allocated = dict(buffers)
+            for batch in (5, 2):
+                lstm._run(net, rng.normal(size=(batch, 7, net.input_dim)), buffers)
+            assert buffers.keys() == allocated.keys()
+            assert all(buffers[key] is allocated[key] for key in allocated)
+
+    def test_one_chunk_starts_no_thread(self, two_workers, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("predict started a thread")
+
+        monkeypatch.setattr(lstm.threading.Thread, "start", refuse)
+        rng = np.random.default_rng(32)
+        net = lstm.init_network(3, 2, 1, rng=rng)
+        assert lstm.predict(net, rng.normal(size=(4, 5, 1))).shape == (4,)
+        assert lstm.predict(net, np.zeros((0, 5, 1))).shape == (0,)
+        # grad_check predicts one window per parameter
+        assert lstm.grad_check(net, rng.normal(size=(5, 1)), 0.3) < 1e-5
 
 
 class TestBackward:

@@ -46,6 +46,20 @@ class TestRoundTrip:
         windows = np.random.default_rng(41).normal(size=(5, 6, 1))
         np.testing.assert_array_equal(loaded.predict(windows), trained.predict(windows))
 
+    def test_file_is_json_dumps_at_indent_2(self, tmp_path):
+        # save_model encodes each list of numbers with the C encoder; the text
+        # must still be json's own indent=2 output, for 2-wide input rows and
+        # for a name that needs escaping
+        trained = TrainedModel(
+            net=lstm.init_network(3, 2, 2, rng=np.random.default_rng(42)),
+            config=ModelConfig('Model "3", ü', 3, 2, 4),
+            stats=NormStats(mean_x=1e-300, std_x=1.5, mean_y=-0.0, std_y=2e300),
+        )
+        path = tmp_path / "model.json"
+        model.save_model(path, trained)
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
 
 class TestPinnedFile:
     """A fixed seeded model's file bytes and predictions, recorded once.
