@@ -17,6 +17,7 @@ from .errors import (
     ModelFormatError,
     ShapeError,
     ValidationError,
+    WorkerError,
 )
 from .lstm import (
     CellParams,
@@ -66,6 +67,7 @@ __all__ = [
     "TrainedModel",
     "ValidationError",
     "WindowedDataset",
+    "WorkerError",
     "cell_forward",
     "denormalize",
     "emit_predictions",

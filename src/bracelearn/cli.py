@@ -4,7 +4,7 @@ Subcommands: generate, train, sweep, predict, gradcheck. Experiment
 settings live in a YAML config file with sections ``oracle``,
 ``protocol``, ``training``, and ``grid``; command-line flags override
 config values. Exit codes: 0 success, 1 verification failure, 2
-usage/config error, 3 runtime divergence.
+usage/config error, 3 runtime divergence, 4 a sweep worker process died.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ import numpy as np
 import yaml
 
 from . import lstm, oracle, sweep as sweep_mod
-from .errors import ConfigError, DivergenceError, ValidationError, at_least, check, count
+from .errors import (
+    ConfigError, DivergenceError, ValidationError, WorkerError, at_least, check, count,
+)
 from .model import ModelConfig, load_fields, load_model, save_model
 from .oracle import BoucWenParams, LoadingProtocol
 from .sweep import DEFAULT_GRID, fit_model
@@ -326,6 +328,9 @@ def main(argv=None) -> int:
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except WorkerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -47,6 +47,10 @@ class DivergenceError(BraceLearnError, RuntimeError):
         self.losses = list(losses)
 
 
+class WorkerError(BraceLearnError, RuntimeError):
+    """A worker process ended before it returned the result of its task."""
+
+
 class ModelFormatError(ValidationError):
     """A serialized model file is missing or has a malformed field."""
 

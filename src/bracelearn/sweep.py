@@ -5,23 +5,34 @@ widest, three depths (5, 10, 20 layers) and three window lengths
 (lookback 10, 30, 40). Each model trains independently with its own seed
 derived from the master seed, so removing one model never changes
 another's results.
+
+When two or more CPUs are usable, the entries train in ``spawn`` worker
+processes, one per usable CPU and at most one per entry, longest first.
+Each worker starts with one BLAS thread and is bound to one CPU, so a
+sweep writes the bytes of a one-BLAS-thread run whatever the caller's
+BLAS setting. On one CPU the entries train inline, in the calling
+process. Each spawned worker imports the caller's main module, so a
+program that calls ``run_sweep`` must start its work under
+``if __name__ == "__main__":``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import oracle
+from . import lstm, oracle
 from .dataset import denormalize, fit_norm, split_half, split_point, window
-from .errors import DegenerateDataError, DivergenceError, InsufficientDataError
+from .errors import DegenerateDataError, DivergenceError, InsufficientDataError, WorkerError
 from .lstm import init_network
 from .model import ModelConfig, TrainedModel
 from .training import TrainConfig, TrainReport, nrmse, train
@@ -45,6 +56,10 @@ SUMMARY_COLUMNS = {
 }
 
 DIVERGED = "diverged"
+
+#: The environment a sweep worker starts with: BLAS on one thread.
+_WORKER_ENVIRON = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                          "MKL_NUM_THREADS")}
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -185,6 +200,97 @@ def fit_model(
     return model, report
 
 
+def _fit_entry(disp, force, config: ModelConfig, cfg: TrainConfig) -> SweepEntry:
+    """Train one grid entry, in a worker or inline; a diverged run is a failed entry."""
+    try:
+        trained, train_report = fit_model(disp, force, config, cfg)
+    except DivergenceError as exc:
+        return SweepEntry(config=config, report=TrainReport(losses=exc.losses), error=str(exc))
+    return SweepEntry(config=config, report=train_report, model=trained)
+
+
+def _cost(config: ModelConfig, samples: int) -> int:
+    """An estimate of an entry's training time: neurons² × layers × lookback × windows."""
+    windows = samples - config.lookback + 1
+    return config.neurons**2 * config.hidden_layers * config.lookback * windows
+
+
+def _start_worker(cpu: int | None) -> None:
+    """Set up a worker process: the parent handles an interrupt, and ``cpu`` is its one CPU."""
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})
+
+
+@contextlib.contextmanager
+def _environ(values: dict[str, str]):
+    """Set ``values`` in this process's environment, which processes it starts inherit."""
+    saved = {name: os.environ.get(name) for name in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _fit_in_workers(disp, force, grid, cfg: TrainConfig, workers: int) -> list[SweepEntry]:
+    """Fit every grid entry in ``workers`` spawned processes; entries return in grid order.
+
+    Each worker is a one-process executor, so a worker that dies fails
+    exactly the entry it was training, and it gets its CPU as an
+    initializer argument. The longest entry not yet started goes to the
+    next idle worker. If an entry raises or the caller is interrupted,
+    every worker is stopped and joined before the exception leaves.
+    """
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    context = multiprocessing.get_context("spawn")
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
+    queue = sorted(range(len(grid)), key=lambda i: _cost(grid[i], len(force)), reverse=True)
+    entries: list[SweepEntry | None] = [None] * len(grid)
+    running = {}  # future -> (its executor, its grid index)
+    before = set(multiprocessing.active_children())
+    idle = [
+        ProcessPoolExecutor(1, mp_context=context, initializer=_start_worker,
+                            initargs=(cpus[k % len(cpus)],))
+        for k in range(workers)
+    ]
+    pools = list(idle)
+    finished = False
+    try:
+        # each worker reads its BLAS thread count as it starts, when it loads numpy
+        with _environ(_WORKER_ENVIRON):
+            while queue or running:
+                while queue and idle:
+                    pool, index = idle.pop(), queue.pop(0)
+                    running[pool.submit(_fit_entry, disp, force, grid[index], cfg)] = pool, index
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    pool, index = running.pop(future)
+                    entries[index] = future.result()
+                    idle.append(pool)
+        finished = True
+    except BrokenProcessPool:
+        raise WorkerError(
+            f"{grid[index].name}: its worker process ended abruptly; the sweep stopped"
+        ) from None
+    finally:
+        if not finished:
+            for process in set(multiprocessing.active_children()) - before:
+                process.terminate()
+        for pool in pools:
+            pool.shutdown(cancel_futures=True)
+    return entries
+
+
 def run_sweep(
     data_csv,
     grid: tuple[ModelConfig, ...] = DEFAULT_GRID,
@@ -193,7 +299,9 @@ def run_sweep(
     """Train every grid model on the CSV dataset; never abort on one failure.
 
     A model whose training diverges is recorded with the ``diverged``
-    sentinel and a message; the remaining models still run. The report
+    sentinel and a message; the remaining models still run. With two or
+    more usable CPUs the models train in worker processes (see the module
+    docstring), and a worker that dies raises WorkerError. The report
     keeps the record it read for the prediction CSVs, and the fingerprint
     of the bytes it parsed.
     """
@@ -203,17 +311,11 @@ def run_sweep(
         _halves(config, force)
 
     report = SweepReport(data_fingerprint=fingerprint(raw), record=(disp, force))
-    for config in grid:
-        try:
-            trained, train_report = fit_model(disp, force, config, cfg)
-            report.entries.append(
-                SweepEntry(config=config, report=train_report, model=trained)
-            )
-        except DivergenceError as exc:
-            partial = TrainReport(losses=exc.losses)
-            report.entries.append(
-                SweepEntry(config=config, report=partial, error=str(exc))
-            )
+    cores = lstm._cores()
+    if cores < 2:
+        report.entries = [_fit_entry(disp, force, config, cfg) for config in grid]
+    else:
+        report.entries = _fit_in_workers(disp, force, grid, cfg, min(cores, len(grid)))
     return report
 
 

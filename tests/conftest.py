@@ -1,5 +1,6 @@
 """Shared fixtures: datasets are expensive enough to build once per session."""
 
+import multiprocessing
 import threading
 
 import pytest
@@ -66,3 +67,12 @@ def no_thread_outlives_its_test():
     yield
     leaked = [t for t in threading.enumerate() if t not in before and not t.daemon]
     assert not leaked, f"threads still running after the test: {leaked}"
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_its_test():
+    """Fail a test that leaves a child process it started still running."""
+    before = set(multiprocessing.active_children())
+    yield
+    leaked = [p for p in multiprocessing.active_children() if p not in before]
+    assert not leaked, f"child processes still running after the test: {leaked}"

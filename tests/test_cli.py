@@ -551,6 +551,7 @@ class TestSweepCommand:
         import bracelearn.model
         import bracelearn.training
 
+        monkeypatch.setattr(lstm, "_cores", lambda: 1)  # inline: a worker would not see the patch
         predicted = {}
         for module in (bracelearn.model, bracelearn.training):
             def counting(net, windows, *args, _original=module.predict, _name=module.__name__):
@@ -571,6 +572,24 @@ class TestSweepCommand:
         # the grid's lookbacks are 6 and 8
         assert predicted == {"bracelearn.model": (n - 6 + 1) + (n - 8 + 1)}
         assert len(reads) == 1
+
+    def test_pooled_sweep_takes_its_predictions_from_the_workers(
+        self, tiny_config, tiny_cli_csv, tmp_path, monkeypatch
+    ):
+        import bracelearn.model
+
+        def no_predict(*args):
+            raise AssertionError("the parent process must not predict")
+
+        monkeypatch.setattr(lstm, "_cores", lambda: 2)
+        monkeypatch.setattr(bracelearn.model, "predict", no_predict)
+        out_dir = tmp_path / "sweep"
+        assert main(
+            ["sweep", "--config", tiny_config, "--data", str(tiny_cli_csv),
+             "--out-dir", str(out_dir)]
+        ) == 0
+        assert (out_dir / "predictions_small.csv").is_file()
+        assert (out_dir / "predictions_wide.csv").is_file()
 
     def test_data_file_bytes_read_once_and_hashed(self, tiny_cli_csv, tmp_path, monkeypatch):
         import builtins

@@ -1,11 +1,23 @@
-"""Grid study: fidelity, independence, reporting, and prediction emission."""
+"""Grid study: fidelity, independence, reporting, prediction emission, workers."""
 
 import csv
+import math
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from bracelearn import dataset, lstm, sweep, training
+import bracelearn
+from bracelearn import cli, dataset, lstm, oracle, sweep, training
 from bracelearn.errors import DegenerateDataError, ValidationError
 from bracelearn.model import ModelConfig, TrainedModel
 from bracelearn.sweep import (
@@ -108,8 +120,8 @@ class TestRunSweep:
 
     def test_diverged_entry_recorded_not_fatal(self, tiny_csv, monkeypatch):
         import dataclasses
-        import math
 
+        monkeypatch.setattr(lstm, "_cores", lambda: 1)  # inline: a worker would not see the patch
         calls = []
         real_fit = sweep.fit_model
 
@@ -135,6 +147,193 @@ class TestRunSweep:
         assert failed.report.epochs_run == 1
         assert len(failed.report.losses) == 1 and math.isfinite(failed.report.losses[0])
         assert report.best_model == "fine"
+
+    def test_diverged_entries_in_workers_keep_their_partial_losses(self, tiny_csv, monkeypatch):
+        monkeypatch.setattr(lstm, "_cores", lambda: 2)
+        # one batch per epoch: epoch 0 finishes, then the huge step overflows epoch 1's loss
+        cfg = TrainConfig(max_epochs=2, learning_rate=1e200, clip_norm=0.0, batch_size=10**6)
+        grid = (ModelConfig("a", 3, 1, 6), ModelConfig("b", 2, 1, 4))
+        report = run_sweep(tiny_csv, grid, cfg)
+        assert [entry.config.name for entry in report.entries] == ["a", "b"]
+        for entry in report.entries:
+            assert entry.failed and "epoch 1" in entry.error
+            assert entry.report.epochs_run == 1 and math.isfinite(entry.report.losses[0])
+        assert report.best_model is None
+
+
+#: Runs the CLI on argv[2:] in a fresh interpreter that sees argv[1] usable CPUs.
+SWEEP_SCRIPT = """
+import sys
+from bracelearn import cli, lstm
+lstm._cores = lambda: int(sys.argv[1])
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+CAN_LIST_CHILDREN = Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists()
+
+
+def start_cli(cores, argv, blas_threads=None):
+    """The CLI in a subprocess of its own session; BLAS at its default unless ``blas_threads``."""
+    env = {name: value for name, value in os.environ.items() if name not in THREAD_VARIABLES}
+    if blas_threads is not None:
+        env.update(dict.fromkeys(THREAD_VARIABLES, str(blas_threads)))
+    src = str(Path(bracelearn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-c", SWEEP_SCRIPT, str(cores), *argv], env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+
+
+def sweep_config(path, grid, **training):
+    path.write_text(yaml.safe_dump({"training": {"seed": 0, **training}, "grid": [
+        {"name": name, "neurons": neurons, "hidden_layers": layers, "lookback": lookback}
+        for name, neurons, layers, lookback in grid
+    ]}))
+    return str(path)
+
+
+def alive(pid) -> bool:
+    """Whether process ``pid`` runs: it exists and is not a zombie."""
+    try:
+        status = Path(f"/proc/{pid}/status").read_text()
+    except OSError:
+        return False
+    return "\nState:\tZ" not in status
+
+
+def started_workers(pid, count, timeout=60.0) -> list[int]:
+    """``pid``'s worker processes, once ``count`` of them run with SIGINT ignored."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        workers = []
+        for child in Path(f"/proc/{pid}/task/{pid}/children").read_text().split():
+            try:
+                cmdline = Path(f"/proc/{child}/cmdline").read_bytes()
+                status = Path(f"/proc/{child}/status").read_text()
+            except OSError:
+                continue
+            ignored = int(status.split("SigIgn:")[1].split()[0], 16)
+            if b"spawn_main" in cmdline and ignored & 1 << (signal.SIGINT - 1):
+                workers.append(int(child))
+        if len(workers) == count:
+            return workers
+        time.sleep(0.05)
+    raise AssertionError(f"{count} workers did not start within {timeout} s")
+
+
+@pytest.fixture()
+def endless_sweep(tiny_csv, tmp_path):
+    """A two-worker CLI sweep of two entries that train until stopped, and its workers."""
+    config = sweep_config(tmp_path / "endless.yaml", [("a", 3, 1, 6), ("b", 2, 1, 4)],
+                          max_epochs=10**9, early_stop_patience=10**9)
+    process = start_cli(2, ["sweep", "--config", config, "--data", str(tiny_csv),
+                            "--out-dir", str(tmp_path / "study")])
+    try:
+        yield process, started_workers(process.pid, 2)
+    finally:
+        if process.poll() is None:
+            os.killpg(process.pid, signal.SIGKILL)
+        process.communicate()
+
+
+class TestWorkers:
+    """Grid entries train in spawned worker processes when two or more CPUs are usable."""
+
+    GRID = [("a", 40, 2, 10), ("b", 20, 1, 8), ("c", 4, 1, 6)]
+
+    def test_entries_go_out_longest_first(self):
+        costs = {config.name: sweep._cost(config, 521) for config in DEFAULT_GRID}
+        assert sorted(costs, key=costs.get, reverse=True) == [
+            "Model 3c", "Model 3b", "Model 3e", "Model 3a", "Model 3d", "Model 2", "Model 1",
+        ]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+    def test_worker_has_one_cpu_and_ignores_sigint(self):
+        cpu = max(os.sched_getaffinity(0))
+        with ProcessPoolExecutor(1, mp_context=get_context("spawn"),
+                                 initializer=sweep._start_worker, initargs=(cpu,)) as pool:
+            assert pool.submit(os.sched_getaffinity, 0).result(timeout=60) == {cpu}
+            assert pool.submit(lstm._cores).result(timeout=60) == 1
+            assert pool.submit(signal.getsignal, signal.SIGINT).result(timeout=60) == signal.SIG_IGN
+
+    def test_sweep_bytes_match_the_inline_one_thread_run(self, tiny_csv, tmp_path):
+        # Model "a" alone writes other bytes at 1 and 2 BLAS threads when trained inline
+        config = sweep_config(tmp_path / "grid.yaml", self.GRID, max_epochs=2)
+        runs = {"inline": (1, 1), "two-workers": (2, None), "three-workers": (3, None)}
+        outputs = {}
+        for name, (cores, blas_threads) in runs.items():
+            out_dir = tmp_path / name
+            process = start_cli(cores, ["sweep", "--config", config, "--data", str(tiny_csv),
+                                        "--out-dir", str(out_dir)], blas_threads)
+            _, err = process.communicate(timeout=300)
+            assert process.returncode == 0, err
+            outputs[name] = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        assert len(outputs["inline"]) == 2 + 3 * len(self.GRID)
+        assert outputs["two-workers"] == outputs["inline"]
+        assert outputs["three-workers"] == outputs["inline"]
+
+    def test_removing_an_entry_changes_no_other_entry_files(self, tiny_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(lstm, "_cores", lambda: 2)
+        environ = dict(os.environ)
+        outputs = {}
+        for name, grid in (("full", self.GRID), ("without-b", self.GRID[::2])):
+            config = sweep_config(tmp_path / f"{name}.yaml", grid, max_epochs=2)
+            out_dir = tmp_path / name
+            assert cli.main(["sweep", "--config", config, "--data", str(tiny_csv),
+                             "--out-dir", str(out_dir)]) == 0
+            assert dict(os.environ) == environ  # the workers' BLAS setting is theirs alone
+            outputs[name] = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        kept = {file: data for file, data in outputs["full"].items() if "_b." not in file}
+        for file in ("report.json", "summary.csv"):
+            del kept[file], outputs["without-b"][file]
+        assert len(kept) == 6
+        assert outputs["without-b"] == kept
+
+    def test_worker_error_exits_like_the_inline_path(self, tmp_path, monkeypatch, capsys):
+        # constant displacement over the training half: fit_norm rejects it inside the fit
+        n = 200
+        disp = np.where(np.arange(n) < n // 2, 0.0, np.sin(np.arange(n) / 5.0))
+        data = tmp_path / "flat.csv"
+        oracle.write_csv(data, oracle.Series(0.01, disp, "displacement"),
+                         oracle.Series(0.01, np.cos(np.arange(n) / 7.0), "force"))
+        config = sweep_config(tmp_path / "grid.yaml", [("a", 2, 1, 4), ("b", 3, 1, 4)])
+        results = []
+        for cores in (1, 2):
+            monkeypatch.setattr(lstm, "_cores", lambda: cores)
+            code = cli.main(["sweep", "--config", config, "--data", str(data),
+                             "--out-dir", str(tmp_path / f"study-{cores}")])
+            results.append((code, capsys.readouterr().err))
+        assert results[0] == results[1]
+        assert results[0] == (2, "error: displacement series is constant; cannot normalize\n")
+
+    @pytest.mark.skipif(not CAN_LIST_CHILDREN, reason="needs /proc/<pid>/task/<tid>/children")
+    def test_killed_worker_ends_the_sweep_with_one_error_line(self, endless_sweep, tmp_path):
+        process, workers = endless_sweep
+        os.kill(workers[0], signal.SIGKILL)
+        killed = time.monotonic()
+        _, err = process.communicate(timeout=60)
+        assert time.monotonic() - killed < 20
+        assert process.returncode == 4
+        (line,) = err.splitlines()
+        assert re.fullmatch(r"error: [ab]: its worker process ended abruptly; the sweep stopped",
+                            line)
+        assert not [pid for pid in workers if alive(pid)]
+        assert not (tmp_path / "study").exists()
+
+    @pytest.mark.skipif(not CAN_LIST_CHILDREN, reason="needs /proc/<pid>/task/<tid>/children")
+    def test_interrupt_stops_every_worker_with_no_worker_traceback(self, endless_sweep):
+        process, workers = endless_sweep
+        os.killpg(process.pid, signal.SIGINT)  # as a terminal's Ctrl-C reaches the whole group
+        interrupted = time.monotonic()
+        _, err = process.communicate(timeout=60)
+        assert time.monotonic() - interrupted < 20
+        assert process.returncode != 0
+        assert err.count("Traceback") == 1
+        assert err.rstrip().endswith("KeyboardInterrupt")
+        assert not [pid for pid in workers if alive(pid)]
 
 
 class TestSummaryCsv:
