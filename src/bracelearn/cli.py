@@ -22,7 +22,8 @@ import yaml
 
 from . import lstm, oracle, sweep as sweep_mod
 from .errors import (
-    ConfigError, DivergenceError, ValidationError, WorkerError, at_least, check, count,
+    ConfigError, DivergenceError, InsufficientDataError, ValidationError, WorkerError, at_least,
+    check, count,
 )
 from .model import ModelConfig, load_fields, load_model, save_model
 from .oracle import BoucWenParams, LoadingProtocol
@@ -76,7 +77,7 @@ def load_config(path=None) -> ExperimentConfig:
             message = f"{model.name!r} must be a plain file name, without '/', '\\' or NUL"
             raise ConfigError(f"{path}: {where} {message}", field=where)
         try:  # a YAML escape can give a lone surrogate, which no file name can hold
-            longest = max(len(os.fsencode(file)) for file in _entry_files(model.name))
+            longest = max(len(os.fsencode(file)) for file in sweep_mod.entry_files(model.name))
         except UnicodeEncodeError:
             message = f"{model.name!r} cannot be encoded as a file name"
             raise ConfigError(f"{path}: {where} {message}", field=where) from None
@@ -93,19 +94,12 @@ def load_config(path=None) -> ExperimentConfig:
     return config
 
 
-def _slug(name: str) -> str:
-    return name.lower().replace(" ", "-")
-
-
-def _entry_files(name: str) -> tuple[str, str, str]:
-    """The loss, model and prediction file names a sweep writes for grid entry ``name``."""
-    slug = _slug(name)
-    return f"loss_{slug}.csv", f"model_{slug}.json", f"predictions_{slug}.csv"
-
-
 def _key(name: str) -> str:
-    """What ``--model`` matches: the slug without dashes ('Model3a' is 'Model 3a')."""
-    return _slug(name).replace("-", "")
+    """What ``--model`` matches: the name in lower case without spaces or dashes.
+
+    So 'Model3a' and 'model-3a' are 'Model 3a'.
+    """
+    return name.lower().replace(" ", "").replace("-", "")
 
 
 def _find_model(grid, name: str) -> ModelConfig:
@@ -184,7 +178,7 @@ def cmd_train(args) -> int:
     model_cfg = _find_model(config.grid, args.model)
     train_cfg = _apply_seed(config.training, args.seed)
     disp, force = oracle.read_csv(args.data)
-    trained, report = fit_model(disp, force, model_cfg, train_cfg)
+    trained, report, _ = fit_model(disp, force, model_cfg, train_cfg)
     save_model(out, trained)
     doc = json.dumps(
         {"model": model_cfg.name, **report.to_dict(include_timing=args.timing)},
@@ -194,41 +188,26 @@ def cmd_train(args) -> int:
     print(doc)
     report_path.write_text(doc + "\n")
     if loss_path is not None:
-        _write_loss_csv(loss_path, report.losses)
+        sweep_mod.write_loss_csv(loss_path, report.losses)
     return 0
-
-
-def _write_loss_csv(path, losses) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write("epoch,loss\n")
-        for epoch, loss in enumerate(losses):
-            handle.write(f"{epoch},{loss!r}\n")
 
 
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     out_dir = Path(args.out_dir)
-    files = [file for model in config.grid for file in _entry_files(model.name)]
+    files = [file for model in config.grid for file in sweep_mod.entry_files(model.name)]
     _preflight({"--config": args.config, "--data": args.data}, {"--out-dir": out_dir},
                ["report.json", "summary.csv", *files])
 
     train_cfg = _apply_seed(config.training, args.seed)
-    report = sweep_mod.run_sweep(args.data, config.grid, train_cfg)
-    out_dir.mkdir(exist_ok=True)  # only now, so a rejected sweep leaves no directory
-    (out_dir / "report.json").write_text(
-        report.to_json(include_timing=args.timing) + "\n"
-    )
+    report = sweep_mod.run_sweep(args.data, out_dir, config.grid, train_cfg)
+    # report.json last: its presence marks a sweep whose every entry finished
     sweep_mod.write_summary_csv(
         report, out_dir / "summary.csv", include_timing=args.timing
     )
-    for entry in report.entries:
-        loss, model, predictions = _entry_files(entry.config.name)
-        _write_loss_csv(out_dir / loss, entry.report.losses)
-        if entry.model is not None:
-            save_model(out_dir / model, entry.model)
-            sweep_mod.emit_predictions(
-                entry.model, *report.record, entry.report.predictions, out_dir / predictions
-            )
+    (out_dir / "report.json").write_text(
+        report.to_json(include_timing=args.timing) + "\n"
+    )
     for entry in report.entries:
         status = (
             sweep_mod.DIVERGED
@@ -325,6 +304,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InsufficientDataError as exc:  # only a --data record can be too short
+        print(f"error: {args.data}: {exc}", file=sys.stderr)
+        return 2
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

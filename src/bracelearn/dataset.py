@@ -86,7 +86,7 @@ def split_half(x: Series, y: Series):
     check_pair(x, y)
     n = len(x)
     if n < 4:
-        raise ValidationError(f"need at least 4 samples to split, got {n}")
+        raise InsufficientDataError(f"need at least 4 samples to split, got {n}")
     cut = split_point(n)
     train = tuple(replace(s, values=s.values[:cut]) for s in (x, y))
     test = tuple(replace(s, values=s.values[cut:], t0=s.t0 + cut * s.dt) for s in (x, y))

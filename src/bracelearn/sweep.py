@@ -14,6 +14,11 @@ BLAS setting. On one CPU the entries train inline, in the calling
 process. Each spawned worker imports the caller's main module, so a
 program that calls ``run_sweep`` must start its work under
 ``if __name__ == "__main__":``.
+
+Each entry writes its own loss, model and prediction files (``entry_files``)
+in the process that fitted it, as soon as it finishes, so a sweep that
+stops early keeps the files of the entries that had finished. The
+caller writes ``report.json`` and ``summary.csv`` once every entry has.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -34,7 +40,7 @@ from . import lstm, oracle
 from .dataset import denormalize, fit_norm, split_half, split_point, window
 from .errors import DegenerateDataError, DivergenceError, InsufficientDataError, WorkerError
 from .lstm import init_network
-from .model import ModelConfig, TrainedModel
+from .model import ModelConfig, TrainedModel, save_model
 from .training import TrainConfig, TrainReport, nrmse, train
 
 #: The seven standard configurations: (name, neurons, hidden layers, lookback).
@@ -68,9 +74,21 @@ def derive_seed(master_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def fingerprint(raw: bytes) -> str:
-    """SHA-256 hex digest of a data file's bytes."""
-    return hashlib.sha256(raw).hexdigest()
+def entry_files(name: str) -> tuple[str, str, str]:
+    """The loss, model and prediction file names a sweep writes for grid entry ``name``.
+
+    Each holds the name's slug: lower case, with a dash for each space.
+    """
+    slug = name.lower().replace(" ", "-")
+    return f"loss_{slug}.csv", f"model_{slug}.json", f"predictions_{slug}.csv"
+
+
+def write_loss_csv(path, losses) -> None:
+    """Write the ``epoch,loss`` curve, one row per finished epoch."""
+    with open(path, "w", newline="") as handle:
+        handle.write("epoch,loss\n")
+        for epoch, loss in enumerate(losses):
+            handle.write(f"{epoch},{loss!r}\n")
 
 
 @dataclass
@@ -112,8 +130,6 @@ class SweepReport:
 
     entries: list[SweepEntry] = field(default_factory=list)
     data_fingerprint: str = ""
-    #: The (displacement, force) record read from the CSV, for ``emit_predictions``.
-    record: tuple[oracle.Series, oracle.Series] | None = field(default=None, repr=False)
 
     @property
     def best_model(self) -> str | None:
@@ -165,16 +181,15 @@ def fit_model(
     force: oracle.Series,
     config: ModelConfig,
     cfg: TrainConfig,
-) -> tuple[TrainedModel, TrainReport]:
-    """Run the full pipeline for one model config.
+) -> tuple[TrainedModel, TrainReport, np.ndarray]:
+    """Run the full pipeline for one model config: the model, its report and its predictions.
 
     Fit normalization on the training half, window the whole record once
     and train, with the derived per-model seed, on the first ``_halves``
-    slice. One pass then predicts every window: the report's
-    ``predictions``, whose two ``_halves`` slices give both halves' NRMSE
-    in physical units. A run whose weights exploded without a non-finite
-    loss, so that either NRMSE is not finite, raises DivergenceError like a
-    diverged loss does.
+    slice. One pass then predicts every window: the returned physical-unit
+    force, whose two ``_halves`` slices give both halves' NRMSE. A run
+    whose weights exploded without a non-finite loss, so that either NRMSE
+    is not finite, raises DivergenceError like a diverged loss does.
     """
     (train_x, train_y), _ = split_half(disp, force)
     stats = fit_norm(train_x, train_y)
@@ -185,7 +200,7 @@ def fit_model(
     net = init_network(config.neurons, config.hidden_layers, rng=np.random.default_rng(seed))
     net, report = train(net, train_set, dataclasses.replace(cfg, seed=seed))
     model = TrainedModel(net=net, config=config, stats=stats)
-    preds = report.predictions = model.predict(data.inputs)
+    preds = model.predict(data.inputs)
     targets = denormalize(data.targets, stats)
     # an overflowing error is the divergence signal, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -197,16 +212,28 @@ def fit_model(
             epoch=report.epochs_run,
             losses=report.losses,
         )
-    return model, report
+    return model, report, preds
 
 
-def _fit_entry(disp, force, config: ModelConfig, cfg: TrainConfig) -> SweepEntry:
-    """Train one grid entry, in a worker or inline; a diverged run is a failed entry."""
+def _fit_entry(disp, force, config: ModelConfig, cfg: TrainConfig, out_dir: Path) -> SweepEntry:
+    """Train one grid entry, in a worker or inline, and write its files in ``out_dir``.
+
+    A diverged run is a failed entry, which writes only its loss CSV; a
+    finished one also writes its model JSON and prediction CSV. The first
+    entry to finish creates ``out_dir``.
+    """
     try:
-        trained, train_report = fit_model(disp, force, config, cfg)
+        trained, report, preds = fit_model(disp, force, config, cfg)
+        entry = SweepEntry(config=config, report=report, model=trained)
     except DivergenceError as exc:
-        return SweepEntry(config=config, report=TrainReport(losses=exc.losses), error=str(exc))
-    return SweepEntry(config=config, report=train_report, model=trained)
+        entry = SweepEntry(config=config, report=TrainReport(losses=exc.losses), error=str(exc))
+    loss_csv, model_json, predictions_csv = (out_dir / name for name in entry_files(config.name))
+    out_dir.mkdir(exist_ok=True)
+    write_loss_csv(loss_csv, entry.report.losses)
+    if entry.model is not None:
+        save_model(model_json, entry.model)
+        emit_predictions(entry.model, disp, force, preds, predictions_csv)
+    return entry
 
 
 def _cost(config: ModelConfig, samples: int) -> int:
@@ -239,8 +266,10 @@ def _environ(values: dict[str, str]):
                 os.environ[name] = value
 
 
-def _fit_in_workers(disp, force, grid, cfg: TrainConfig, workers: int) -> list[SweepEntry]:
-    """Fit every grid entry in ``workers`` spawned processes; entries return in grid order.
+def _fit_in_workers(fit, grid, samples: int, workers: int) -> list[SweepEntry]:
+    """Fit every grid entry of a ``samples``-long record in ``workers`` spawned processes.
+
+    ``fit(config)`` fits one entry; the entries return in grid order.
 
     Each worker is a one-process executor, so a worker that dies fails
     exactly the entry it was training, and it gets its CPU as an
@@ -254,7 +283,7 @@ def _fit_in_workers(disp, force, grid, cfg: TrainConfig, workers: int) -> list[S
 
     context = multiprocessing.get_context("spawn")
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
-    queue = sorted(range(len(grid)), key=lambda i: _cost(grid[i], len(force)), reverse=True)
+    queue = sorted(range(len(grid)), key=lambda i: _cost(grid[i], samples), reverse=True)
     entries: list[SweepEntry | None] = [None] * len(grid)
     running = {}  # future -> (its executor, its grid index)
     before = set(multiprocessing.active_children())
@@ -271,7 +300,7 @@ def _fit_in_workers(disp, force, grid, cfg: TrainConfig, workers: int) -> list[S
             while queue or running:
                 while queue and idle:
                     pool, index = idle.pop(), queue.pop(0)
-                    running[pool.submit(_fit_entry, disp, force, grid[index], cfg)] = pool, index
+                    running[pool.submit(fit, grid[index])] = pool, index
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in done:
                     pool, index = running.pop(future)
@@ -293,29 +322,32 @@ def _fit_in_workers(disp, force, grid, cfg: TrainConfig, workers: int) -> list[S
 
 def run_sweep(
     data_csv,
+    out_dir,
     grid: tuple[ModelConfig, ...] = DEFAULT_GRID,
     cfg: TrainConfig = TrainConfig(),
 ) -> SweepReport:
     """Train every grid model on the CSV dataset; never abort on one failure.
 
     A model whose training diverges is recorded with the ``diverged``
-    sentinel and a message; the remaining models still run. With two or
-    more usable CPUs the models train in worker processes (see the module
-    docstring), and a worker that dies raises WorkerError. The report
-    keeps the record it read for the prediction CSVs, and the fingerprint
-    of the bytes it parsed.
+    sentinel and a message; the remaining models still run. Each entry
+    writes its files in ``out_dir`` as it finishes (see the module
+    docstring), so a sweep that is rejected or stops before any entry
+    finishes creates no directory. With two or more usable CPUs the
+    models train in worker processes, and a worker that dies raises
+    WorkerError. The report keeps the fingerprint of the bytes it parsed.
     """
     raw = Path(data_csv).read_bytes()
     disp, force = oracle.read_csv(data_csv, raw)
     for config in grid:
         _halves(config, force)
 
-    report = SweepReport(data_fingerprint=fingerprint(raw), record=(disp, force))
+    report = SweepReport(data_fingerprint=hashlib.sha256(raw).hexdigest())
+    fit = functools.partial(_fit_entry, disp, force, cfg=cfg, out_dir=Path(out_dir))
     cores = lstm._cores()
     if cores < 2:
-        report.entries = [_fit_entry(disp, force, config, cfg) for config in grid]
+        report.entries = [fit(config) for config in grid]
     else:
-        report.entries = _fit_in_workers(disp, force, grid, cfg, min(cores, len(grid)))
+        report.entries = _fit_in_workers(fit, grid, len(force), min(cores, len(grid)))
     return report
 
 

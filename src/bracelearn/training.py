@@ -58,8 +58,6 @@ class TrainReport:
     wall_seconds: float = 0.0
     train_nrmse: float | None = None
     test_nrmse: float | None = None
-    #: Physical-unit force of every window of the record, for the prediction CSV only.
-    predictions: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def epochs_run(self) -> int:

@@ -36,7 +36,7 @@ def trained_model_3a(default_pair):
     """One full training run shared by criteria 5 and 6."""
     disp, force = default_pair
     started = time.perf_counter()
-    trained, report = sweep.fit_model(disp, force, MODEL_3A, TrainConfig(seed=0))
+    trained, report, _ = sweep.fit_model(disp, force, MODEL_3A, TrainConfig(seed=0))
     wall = time.perf_counter() - started
     return trained, report, wall
 
@@ -195,7 +195,7 @@ def test_criterion_6_extrapolated_strength_degradation(default_pair, trained_mod
     )
 
 
-def test_criterion_7_sweep_integrity(tiny_csv):
+def test_criterion_7_sweep_integrity(tiny_csv, tmp_path):
     """Default grid emits the seven standard configs; same-seed runs byte-identical.
 
     The determinism contract is structural, so the sweep runs with a small
@@ -207,8 +207,8 @@ def test_criterion_7_sweep_integrity(tiny_csv):
         ("Model 3e", 40, 5, 40),
     ]
     cfg = TrainConfig(max_epochs=2, seed=11)
-    first = sweep.run_sweep(tiny_csv, sweep.DEFAULT_GRID, cfg)
-    second = sweep.run_sweep(tiny_csv, sweep.DEFAULT_GRID, cfg)
+    first = sweep.run_sweep(tiny_csv, tmp_path / "first", sweep.DEFAULT_GRID, cfg)
+    second = sweep.run_sweep(tiny_csv, tmp_path / "second", sweep.DEFAULT_GRID, cfg)
 
     assert [
         (e.config.name, e.config.neurons, e.config.hidden_layers, e.config.lookback)
@@ -253,5 +253,5 @@ def test_criterion_8_overfit_probe(default_pair):
 def test_full_profile_alternate_seed(default_pair):
     """Second full Model 3a run at another seed also clears the 20% bar."""
     disp, force = default_pair
-    trained, report = sweep.fit_model(disp, force, MODEL_3A, TrainConfig(seed=1))
+    trained, report, _ = sweep.fit_model(disp, force, MODEL_3A, TrainConfig(seed=1))
     assert report.test_nrmse <= 20.0

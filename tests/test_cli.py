@@ -49,6 +49,12 @@ def snapshot(root):
     return {path: path.read_bytes() if path.is_file() else None for path in root.rglob("*")}
 
 
+def write_three_samples(path):
+    """A data CSV of three samples: too short to split, and shorter than lookback 4."""
+    path.write_text("t,displacement,force\n0.0,0.0,0.0\n0.01,0.1,0.2\n0.02,0.2,0.1\n")
+    return path
+
+
 def save_seeded_model(path):
     """An untrained 3-neuron, lookback-4 model with pass-through statistics."""
     net = lstm.init_network(3, 1, 1, rng=np.random.default_rng(0))
@@ -491,6 +497,14 @@ class TestTrain:
         assert rows[0] == "epoch,loss"
         assert len(rows) == 3  # 2 epochs
 
+    def test_record_too_short_to_split_names_the_file(self, tiny_config, tmp_path, capsys):
+        data = write_three_samples(tmp_path / "short.csv")
+        code = main(["train", "--config", tiny_config, "--data", str(data),
+                     "--model", "small", "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {data}: need at least 4 samples to split, got 3\n"
+
 
 class TestSweepCommand:
     def test_artifacts_and_determinism(self, tiny_config, tiny_cli_csv, tmp_path, capsys):
@@ -576,20 +590,49 @@ class TestSweepCommand:
     def test_pooled_sweep_takes_its_predictions_from_the_workers(
         self, tiny_config, tiny_cli_csv, tmp_path, monkeypatch
     ):
+        import bracelearn.cli
         import bracelearn.model
 
-        def no_predict(*args):
-            raise AssertionError("the parent process must not predict")
+        def in_parent(*args):
+            raise AssertionError("the parent process must not predict or write an entry file")
 
         monkeypatch.setattr(lstm, "_cores", lambda: 2)
-        monkeypatch.setattr(bracelearn.model, "predict", no_predict)
+        monkeypatch.setattr(bracelearn.model, "predict", in_parent)
+        for module, name in ((sweep_mod, "save_model"), (sweep_mod, "emit_predictions"),
+                             (sweep_mod, "write_loss_csv"), (bracelearn.cli, "save_model")):
+            monkeypatch.setattr(module, name, in_parent)
         out_dir = tmp_path / "sweep"
         assert main(
             ["sweep", "--config", tiny_config, "--data", str(tiny_cli_csv),
              "--out-dir", str(out_dir)]
         ) == 0
-        assert (out_dir / "predictions_small.csv").is_file()
-        assert (out_dir / "predictions_wide.csv").is_file()
+        files = [file for name in ("small", "wide") for file in sweep_mod.entry_files(name)]
+        assert sorted(path.name for path in out_dir.iterdir()) == sorted(
+            ["report.json", "summary.csv", *files]
+        )
+
+    def test_interrupted_sweep_keeps_the_files_of_finished_entries(
+        self, tiny_config, tiny_cli_csv, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(lstm, "_cores", lambda: 1)  # inline: a worker would not see the patch
+        argv = ["sweep", "--config", tiny_config, "--data", str(tiny_cli_csv), "--out-dir"]
+        complete = tmp_path / "complete"
+        assert main([*argv, str(complete)]) == 0
+        real_fit = sweep_mod.fit_model
+
+        def interrupted(disp, force, config, cfg):
+            if config.name == "wide":  # the second of the grid's two entries
+                raise KeyboardInterrupt
+            return real_fit(disp, force, config, cfg)
+
+        monkeypatch.setattr(sweep_mod, "fit_model", interrupted)
+        stopped = tmp_path / "stopped"
+        with pytest.raises(KeyboardInterrupt):
+            main([*argv, str(stopped)])
+        # the first entry's three files, as a complete sweep writes them; no report or summary
+        kept = {path.name: path.read_bytes() for path in stopped.iterdir()}
+        assert kept == {name: (complete / name).read_bytes()
+                        for name in sweep_mod.entry_files("small")}
 
     def test_data_file_bytes_read_once_and_hashed(self, tiny_cli_csv, tmp_path, monkeypatch):
         import builtins
@@ -778,6 +821,13 @@ class TestPredict:
         )
         assert code == 2
         assert "model.name" in capsys.readouterr().err
+
+    def test_record_shorter_than_the_lookback_names_the_file(self, tmp_path, capsys):
+        data = write_three_samples(tmp_path / "short.csv")
+        code = main(["predict", "--model", str(save_seeded_model(tmp_path / "m.json")),
+                     "--data", str(data), "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {data}: series has 3 samples but lookback is 4\n"
 
     def test_prediction_csv_keeps_first_t(self, tmp_path):
         data = tmp_path / "late.csv"

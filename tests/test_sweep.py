@@ -1,6 +1,7 @@
 """Grid study: fidelity, independence, reporting, prediction emission, workers."""
 
 import csv
+import hashlib
 import math
 import os
 import re
@@ -55,7 +56,7 @@ class TestFitModel:
     def test_report_nrmse_in_physical_units(self, default_data):
         # one full-record pass gives the same numbers as windowing each half
         disp, force = default_data
-        model, report = fit_model(
+        model, report, preds = fit_model(
             disp, force, ModelConfig("m", 6, 1, 10), TrainConfig(max_epochs=2, seed=34)
         )
         (tx, ty), (sx, sy) = dataset.split_half(disp, force)
@@ -65,44 +66,44 @@ class TestFitModel:
         test_set = dataset.window(sx, sy, stats, 10)
         assert report.train_nrmse == training.evaluate_nrmse(model.net, train_set, stats)
         assert report.test_nrmse == training.evaluate_nrmse(model.net, test_set, stats)
-        assert len(report.predictions) == len(disp) - 10 + 1
+        assert len(preds) == len(disp) - 10 + 1
         assert "predictions" not in report.to_dict()
 
 
 class TestRunSweep:
-    def test_single_model_grid(self, tiny_csv):
+    def test_single_model_grid(self, tiny_csv, tmp_path):
         grid = (ModelConfig("Model 3d", 40, 5, 10),)
-        report = run_sweep(tiny_csv, grid, FAST_CFG)
+        report = run_sweep(tiny_csv, tmp_path / "study", grid, FAST_CFG)
         assert len(report.entries) == 1
         assert report.best_model == "Model 3d"
-        assert report.data_fingerprint == sweep.fingerprint(tiny_csv.read_bytes())
+        assert report.data_fingerprint == hashlib.sha256(tiny_csv.read_bytes()).hexdigest()
         entry = report.entries[0].to_dict()
         assert entry["parameter_count"] == report.entries[0].model.net.flat.size
 
-    def test_best_model_is_minimum(self, tiny_csv):
+    def test_best_model_is_minimum(self, tiny_csv, tmp_path):
         grid = (
             ModelConfig("small", 3, 1, 6),
             ModelConfig("smaller", 2, 1, 6),
         )
-        report = run_sweep(tiny_csv, grid, FAST_CFG)
+        report = run_sweep(tiny_csv, tmp_path / "study", grid, FAST_CFG)
         finished = [e for e in report.entries if not e.failed]
         best = min(finished, key=lambda e: e.report.test_nrmse)
         assert report.best_model == best.config.name
 
-    def test_isolation(self, tiny_csv):
+    def test_isolation(self, tiny_csv, tmp_path):
         # dropping one model must not change another model's training
         grid_two = (ModelConfig("a", 3, 1, 6), ModelConfig("b", 4, 1, 6))
         grid_one = (ModelConfig("b", 4, 1, 6),)
-        full = run_sweep(tiny_csv, grid_two, FAST_CFG)
-        solo = run_sweep(tiny_csv, grid_one, FAST_CFG)
+        full = run_sweep(tiny_csv, tmp_path / "full", grid_two, FAST_CFG)
+        solo = run_sweep(tiny_csv, tmp_path / "solo", grid_one, FAST_CFG)
         assert full.entries[1].report.losses == solo.entries[0].report.losses
 
-    def test_lookback_exceeding_half_rejected(self, tiny_csv):
+    def test_lookback_exceeding_half_rejected(self, tiny_csv, tmp_path):
         grid = (ModelConfig("too-long", 2, 1, 10_000),)
         with pytest.raises(ValidationError, match="lookback"):
-            run_sweep(tiny_csv, grid, FAST_CFG)
+            run_sweep(tiny_csv, tmp_path / "study", grid, FAST_CFG)
 
-    def test_one_window_held_out_rejected_before_training(self, tiny_csv, monkeypatch):
+    def test_one_window_held_out_rejected_before_training(self, tiny_csv, tmp_path, monkeypatch):
         def no_training(*args, **kwargs):
             raise AssertionError("train must not run")
 
@@ -110,15 +111,15 @@ class TestRunSweep:
         # 361 samples: lookback 180 fills the held-out half with one window
         grid = (ModelConfig("edge", 2, 1, 180),)
         with pytest.raises(DegenerateDataError, match=r"held-out half has no spread \(1 samples"):
-            run_sweep(tiny_csv, grid, FAST_CFG)
+            run_sweep(tiny_csv, tmp_path / "study", grid, FAST_CFG)
 
-    def test_deterministic_reports(self, tiny_csv):
+    def test_deterministic_reports(self, tiny_csv, tmp_path):
         grid = (ModelConfig("a", 3, 1, 6), ModelConfig("b", 4, 2, 8))
-        first = run_sweep(tiny_csv, grid, FAST_CFG)
-        second = run_sweep(tiny_csv, grid, FAST_CFG)
+        first = run_sweep(tiny_csv, tmp_path / "first", grid, FAST_CFG)
+        second = run_sweep(tiny_csv, tmp_path / "second", grid, FAST_CFG)
         assert first.to_json() == second.to_json()
 
-    def test_diverged_entry_recorded_not_fatal(self, tiny_csv, monkeypatch):
+    def test_diverged_entry_recorded_not_fatal(self, tiny_csv, tmp_path, monkeypatch):
         import dataclasses
 
         monkeypatch.setattr(lstm, "_cores", lambda: 1)  # inline: a worker would not see the patch
@@ -137,7 +138,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(sweep, "fit_model", fake_fit)
         grid = (ModelConfig("explodes", 3, 1, 6), ModelConfig("fine", 3, 1, 6))
-        report = run_sweep(tiny_csv, grid, FAST_CFG)
+        report = run_sweep(tiny_csv, tmp_path / "study", grid, FAST_CFG)
         assert calls == ["explodes", "fine"]
         failed = report.entries[0]
         assert failed.failed
@@ -148,12 +149,14 @@ class TestRunSweep:
         assert len(failed.report.losses) == 1 and math.isfinite(failed.report.losses[0])
         assert report.best_model == "fine"
 
-    def test_diverged_entries_in_workers_keep_their_partial_losses(self, tiny_csv, monkeypatch):
+    def test_diverged_entries_in_workers_keep_their_partial_losses(
+        self, tiny_csv, tmp_path, monkeypatch
+    ):
         monkeypatch.setattr(lstm, "_cores", lambda: 2)
         # one batch per epoch: epoch 0 finishes, then the huge step overflows epoch 1's loss
         cfg = TrainConfig(max_epochs=2, learning_rate=1e200, clip_norm=0.0, batch_size=10**6)
         grid = (ModelConfig("a", 3, 1, 6), ModelConfig("b", 2, 1, 4))
-        report = run_sweep(tiny_csv, grid, cfg)
+        report = run_sweep(tiny_csv, tmp_path / "study", grid, cfg)
         assert [entry.config.name for entry in report.entries] == ["a", "b"]
         for entry in report.entries:
             assert entry.failed and "epoch 1" in entry.error
@@ -339,7 +342,7 @@ class TestWorkers:
 class TestSummaryCsv:
     def test_columns_and_rows(self, tiny_csv, tmp_path):
         grid = (ModelConfig("a", 3, 1, 6),)
-        report = run_sweep(tiny_csv, grid, FAST_CFG)
+        report = run_sweep(tiny_csv, tmp_path / "study", grid, FAST_CFG)
         out = tmp_path / "summary.csv"
         sweep.write_summary_csv(report, out)
         with out.open() as handle:
@@ -351,7 +354,7 @@ class TestSummaryCsv:
 
     def test_timing_opt_in(self, tiny_csv, tmp_path):
         grid = (ModelConfig("a", 3, 1, 6),)
-        report = run_sweep(tiny_csv, grid, FAST_CFG)
+        report = run_sweep(tiny_csv, tmp_path / "study", grid, FAST_CFG)
         out = tmp_path / "summary.csv"
         sweep.write_summary_csv(report, out, include_timing=True)
         with out.open() as handle:
