@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,9 +29,6 @@ from .oracle import BoucWenParams, LoadingProtocol
 from .sweep import DEFAULT_GRID, fit_model
 from .training import TrainConfig
 
-#: The longest file name, in bytes, that common file systems allow.
-_NAME_MAX = 255
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -47,64 +43,35 @@ class ExperimentConfig:
 def load_config(path=None) -> ExperimentConfig:
     """Parse the YAML experiment config in one ``load_fields`` call.
 
-    A missing or ``null`` section means its defaults; grid names must be
-    plain file names with distinct ``_key``s, so ``--model`` picks exactly
-    one, that the file system can encode, and short enough that every
-    sweep file name fits in ``_NAME_MAX`` bytes. Any malformed input
-    raises ConfigError.
+    No file means every default, and a missing or ``null`` section its
+    defaults. The grid's names must pass ``sweep.check_grid_names``. Any
+    malformed input raises ConfigError, whose message names the file.
     """
-    doc = {}
-    if path is not None:
-        path = Path(path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        with open(path, "rb") as handle:  # so yaml reports a bad byte as YAMLError
-            try:
-                doc = yaml.safe_load(handle)
-            except (yaml.YAMLError, RecursionError) as exc:  # deep nesting recurses
-                raise ConfigError(f"{path} is not valid YAML: {exc}") from None
-        if doc is None:
-            doc = {}
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: config must be a mapping of sections")
-
-    config = load_fields(ExperimentConfig, doc, "", ConfigError)
-    grid = config.grid
-    keys = [_key(model.name) for model in grid]
-    for index, (model, key) in enumerate(zip(grid, keys)):
-        where = f"grid[{index}].name"
-        if any(char in model.name for char in "/\\\0"):
-            message = f"{model.name!r} must be a plain file name, without '/', '\\' or NUL"
-            raise ConfigError(f"{path}: {where} {message}", field=where)
-        try:  # a YAML escape can give a lone surrogate, which no file name can hold
-            longest = max(len(os.fsencode(file)) for file in sweep_mod.entry_files(model.name))
-        except UnicodeEncodeError:
-            message = f"{model.name!r} cannot be encoded as a file name"
-            raise ConfigError(f"{path}: {where} {message}", field=where) from None
-        if longest > _NAME_MAX:
-            message = f"is too long: its sweep files need {longest} bytes, over {_NAME_MAX}"
-            raise ConfigError(f"{path}: {where} {message}", field=where)
-        if key in keys[:index]:
-            first = keys.index(key)
-            raise ConfigError(
-                f"{path}: grid[{first}] {grid[first].name!r} and {where} {model.name!r} "
-                f"are ambiguous: both read as {key!r}",
-                field=where,
-            )
+    if path is None:
+        return ExperimentConfig()
+    path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"config file not found: {path}")
+    with open(path, "rb") as handle:  # so yaml reports a bad byte as YAMLError
+        try:
+            doc = yaml.safe_load(handle)
+        except (yaml.YAMLError, RecursionError) as exc:  # deep nesting recurses
+            raise ConfigError(f"{path} is not valid YAML: {exc}") from None
+    if doc is None:
+        doc = {}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: config must be a mapping of sections")
+    try:
+        config = load_fields(ExperimentConfig, doc, "", ConfigError)
+        sweep_mod.check_grid_names(config.grid)
+    except ValidationError as exc:
+        raise ConfigError(f"{path}: {exc}", field=exc.field) from exc
     return config
-
-
-def _key(name: str) -> str:
-    """What ``--model`` matches: the name in lower case without spaces or dashes.
-
-    So 'Model3a' and 'model-3a' are 'Model 3a'.
-    """
-    return name.lower().replace(" ", "").replace("-", "")
 
 
 def _find_model(grid, name: str) -> ModelConfig:
     for config in grid:
-        if _key(config.name) == _key(name):
+        if sweep_mod.name_key(config.name) == sweep_mod.name_key(name):
             return config
     names = ", ".join(repr(c.name) for c in grid)
     raise ConfigError(f"unknown model {name!r}; valid names: {names}")

@@ -227,14 +227,24 @@ def load_fields(cls, raw, where: str, error: type[ValidationError]):
 
 
 def load_model(path) -> TrainedModel:
-    """Read a model JSON document back into a TrainedModel."""
+    """Read a model JSON document back into a TrainedModel.
+
+    A malformed document raises ModelFormatError, whose message names the file.
+    """
     path = Path(path)
     try:
         with open(path) as handle:
             doc = json.load(handle)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return _from_document(doc)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}", field=exc.field) from exc
 
+
+def _from_document(doc) -> TrainedModel:
+    """The TrainedModel that a parsed model JSON document describes."""
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version is not None and version != FORMAT_VERSION:
         raise ModelFormatError(

@@ -17,8 +17,10 @@ program that calls ``run_sweep`` must start its work under
 
 Each entry writes its own loss, model and prediction files (``entry_files``)
 in the process that fitted it, as soon as it finishes, so a sweep that
-stops early keeps the files of the entries that had finished. The
-caller writes ``report.json`` and ``summary.csv`` once every entry has.
+stops early keeps the files of the entries that had finished. What
+comes back to the caller is a ``SweepEntry``, which holds the entry's
+report and parameter count but not its network. The caller writes
+``report.json`` and ``summary.csv`` once every entry has finished.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ import numpy as np
 
 from . import lstm, oracle
 from .dataset import denormalize, fit_norm, split_half, split_point, window
-from .errors import DegenerateDataError, DivergenceError, InsufficientDataError, WorkerError
+from .errors import (
+    DegenerateDataError, DivergenceError, InsufficientDataError, ValidationError, WorkerError,
+)
 from .lstm import init_network
 from .model import ModelConfig, TrainedModel, save_model
 from .training import TrainConfig, TrainReport, nrmse, train
@@ -63,6 +67,9 @@ SUMMARY_COLUMNS = {
 
 DIVERGED = "diverged"
 
+#: The longest file name, in bytes, that common file systems allow.
+_NAME_MAX = 255
+
 #: The environment a sweep worker starts with: BLAS on one thread.
 _WORKER_ENVIRON = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                           "MKL_NUM_THREADS")}
@@ -83,6 +90,45 @@ def entry_files(name: str) -> tuple[str, str, str]:
     return f"loss_{slug}.csv", f"model_{slug}.json", f"predictions_{slug}.csv"
 
 
+def name_key(name: str) -> str:
+    """What ``train --model`` matches: the name in lower case without spaces or dashes.
+
+    So 'Model3a' and 'model-3a' are 'Model 3a'.
+    """
+    return name.lower().replace(" ", "").replace("-", "")
+
+
+def check_grid_names(grid: tuple[ModelConfig, ...]) -> None:
+    """Reject a grid whose entry files a sweep could not write, naming ``grid[i].name``.
+
+    Each name must be a plain file name that the file system can encode,
+    short enough that every ``entry_files`` name fits in ``_NAME_MAX`` bytes.
+    No two names may share a ``name_key``, so no two entries write one
+    file and ``train --model`` picks exactly one. Raises ValidationError.
+    """
+    keys = [name_key(model.name) for model in grid]
+    for index, (model, key) in enumerate(zip(grid, keys)):
+        where = f"grid[{index}].name"
+        if any(char in model.name for char in "/\\\0"):
+            message = f"{model.name!r} must be a plain file name, without '/', '\\' or NUL"
+            raise ValidationError(f"{where} {message}", field=where)
+        try:  # a YAML escape can give a lone surrogate, which no file name can hold
+            longest = max(len(os.fsencode(file)) for file in entry_files(model.name))
+        except UnicodeEncodeError:
+            message = f"{model.name!r} cannot be encoded as a file name"
+            raise ValidationError(f"{where} {message}", field=where) from None
+        if longest > _NAME_MAX:
+            message = f"is too long: its sweep files need {longest} bytes, over {_NAME_MAX}"
+            raise ValidationError(f"{where} {message}", field=where)
+        if key in keys[:index]:
+            first = keys.index(key)
+            raise ValidationError(
+                f"grid[{first}] {grid[first].name!r} and {where} {model.name!r} "
+                f"are ambiguous: both read as {key!r}",
+                field=where,
+            )
+
+
 def write_loss_csv(path, losses) -> None:
     """Write the ``epoch,loss`` curve, one row per finished epoch."""
     with open(path, "w", newline="") as handle:
@@ -93,12 +139,17 @@ def write_loss_csv(path, losses) -> None:
 
 @dataclass
 class SweepEntry:
-    """Result of one model's training run (or its failure)."""
+    """One grid entry's result: its report and parameter count, or its failure.
+
+    The trained network itself stays in the process that fitted it; load
+    it from the entry's ``model_<slug>.json`` (``entry_files``).
+    """
 
     config: ModelConfig
     #: A diverged entry's report is partial: its losses and epochs run.
     report: TrainReport
-    model: TrainedModel | None = None
+    #: The trained network's ``net.flat.size``; None for a diverged entry.
+    parameter_count: int | None = None
     error: str | None = None
 
     @property
@@ -112,8 +163,8 @@ class SweepEntry:
             "hidden_layers": self.config.hidden_layers,
             "lookback": self.config.lookback,
         }
-        if self.model is not None:
-            out["parameter_count"] = self.model.net.flat.size
+        if self.parameter_count is not None:
+            out["parameter_count"] = self.parameter_count
         if self.failed:
             out["train_nrmse"] = DIVERGED
             out["test_nrmse"] = DIVERGED
@@ -216,7 +267,7 @@ def fit_model(
 
 
 def _fit_entry(disp, force, config: ModelConfig, cfg: TrainConfig, out_dir: Path) -> SweepEntry:
-    """Train one grid entry, in a worker or inline, and write its files in ``out_dir``.
+    """Train one grid entry, in a worker or inline, write its files in ``out_dir`` and return it.
 
     A diverged run is a failed entry, which writes only its loss CSV; a
     finished one also writes its model JSON and prediction CSV. The first
@@ -224,15 +275,15 @@ def _fit_entry(disp, force, config: ModelConfig, cfg: TrainConfig, out_dir: Path
     """
     try:
         trained, report, preds = fit_model(disp, force, config, cfg)
-        entry = SweepEntry(config=config, report=report, model=trained)
+        entry = SweepEntry(config=config, report=report, parameter_count=trained.net.flat.size)
     except DivergenceError as exc:
         entry = SweepEntry(config=config, report=TrainReport(losses=exc.losses), error=str(exc))
     loss_csv, model_json, predictions_csv = (out_dir / name for name in entry_files(config.name))
     out_dir.mkdir(exist_ok=True)
     write_loss_csv(loss_csv, entry.report.losses)
-    if entry.model is not None:
-        save_model(model_json, entry.model)
-        emit_predictions(entry.model, disp, force, preds, predictions_csv)
+    if not entry.failed:
+        save_model(model_json, trained)
+        emit_predictions(trained, disp, force, preds, predictions_csv)
     return entry
 
 
@@ -329,13 +380,16 @@ def run_sweep(
     """Train every grid model on the CSV dataset; never abort on one failure.
 
     A model whose training diverges is recorded with the ``diverged``
-    sentinel and a message; the remaining models still run. Each entry
+    sentinel and a message; the remaining models still run. The grid's
+    names (``check_grid_names``) and the record's length and spread for
+    each entry (``_halves``) are checked before any training. Each entry
     writes its files in ``out_dir`` as it finishes (see the module
     docstring), so a sweep that is rejected or stops before any entry
     finishes creates no directory. With two or more usable CPUs the
     models train in worker processes, and a worker that dies raises
     WorkerError. The report keeps the fingerprint of the bytes it parsed.
     """
+    check_grid_names(grid)
     raw = Path(data_csv).read_bytes()
     disp, force = oracle.read_csv(data_csv, raw)
     for config in grid:

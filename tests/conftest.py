@@ -11,6 +11,12 @@ from bracelearn.dataset import NormStats
 #: Pass-through statistics (mean 0, std 1).
 IDENTITY_STATS = NormStats(mean_x=0.0, std_x=1.0, mean_y=0.0, std_y=1.0)
 
+#: Grid names a sweep cannot write files for, by test id. "x" * 250 is too
+#: long: predictions_<name>.csv would need 266 bytes; a lone surrogate,
+#: which a YAML escape gives, has no file-name encoding.
+UNWRITABLE_NAMES = {"x/y": "x/y", "x\\y": "x\\y", "../up": "../up", "250-chars": "x" * 250,
+                    "surrogate": "a\ud800"}
+
 
 @pytest.fixture(scope="session")
 def default_protocol():

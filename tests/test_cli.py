@@ -21,7 +21,7 @@ from bracelearn.errors import ConfigError
 from bracelearn.model import ModelConfig, TrainedModel, save_model
 from bracelearn.sweep import DEFAULT_GRID
 from bracelearn.training import TrainConfig
-from conftest import IDENTITY_STATS
+from conftest import IDENTITY_STATS, UNWRITABLE_NAMES
 
 TINY_PROTOCOL = {
     "delta_y": 0.1,
@@ -246,6 +246,7 @@ class TestStrictConfig:
         err = capsys.readouterr().err
         assert code == 2
         assert field in err, err
+        assert err.startswith(f"error: {config}: ") and err.count(config) == 1, err
         assert not out.exists() and not (tmp_path / "m.report.json").exists()
         with pytest.raises(ConfigError) as excinfo:
             load_config(config)
@@ -273,10 +274,7 @@ class TestStrictConfig:
         with pytest.raises(ConfigError, match="'m-a'.*'ma'"):
             load_config(config)
 
-    # "x" * 250 is too long: predictions_<name>.csv would need 266 bytes;
-    # a lone surrogate, which a YAML escape gives, has no file-name encoding
-    @pytest.mark.parametrize("name", ["x/y", "x\\y", "../up", "x" * 250, "a\ud800"],
-                             ids=["x/y", "x\\y", "../up", "250-chars", "surrogate"])
+    @pytest.mark.parametrize("name", UNWRITABLE_NAMES.values(), ids=UNWRITABLE_NAMES.keys())
     def test_grid_name_must_be_plain_file_name(self, tiny_cli_csv, tmp_path, capsys, name):
         config = write_config(
             tmp_path / "c.yaml",
@@ -293,7 +291,8 @@ class TestStrictConfig:
         code = main(["sweep", "--config", config, "--data", str(tiny_cli_csv),
                      "--out-dir", str(out_dir)])
         assert code == 2
-        assert "grid[1].name" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: grid[1].name ") and err.count(config) == 1, err
         assert not out_dir.exists()
 
     def test_deeply_nested_config_exits_2(self, tmp_path, capsys):
@@ -902,6 +901,7 @@ class TestPredict:
         err = capsys.readouterr().err
         assert code == 2
         assert all(name in err for name in named), err
+        assert err.startswith(f"error: {model_path}: ") and err.count(str(model_path)) == 1, err
         assert not out.exists()
 
 

@@ -234,6 +234,26 @@ class TestSimulate:
         assert excinfo.value.index is not None
         assert "sample" in str(excinfo.value)
 
+    #: The sample whose state overflows, by (n, delta_y); None where the
+    #: whole record stays finite. Every other pair overflows at sample 1.
+    OVERFLOW_INDEX = {
+        (2, 1e3): None, (2, 1e10): 251, (2, 1e30): 51, (20, 1e3): 51,
+        (3, 1e3): 351, (3, 1e10): 151, (8, 1e3): 151,
+    }
+
+    @pytest.mark.parametrize("delta_y", [1e3, 1e10, 1e30, 1e50, 1e80, 1e100])
+    @pytest.mark.parametrize("n", [2, 3, 8, 20])
+    def test_overflowing_exponent_diverges_at_a_pinned_sample(self, n, delta_y):
+        # |z| ** n and the displacement rate grow with delta_y until a state overflows
+        disp = oracle.generate_protocol(LoadingProtocol(delta_y=delta_y))
+        index = self.OVERFLOW_INDEX.get((n, delta_y), 1)
+        if index is None:
+            assert np.all(np.isfinite(oracle.simulate(BoucWenParams(n=n), disp).values))
+            return
+        with pytest.raises(DivergenceError) as excinfo:
+            oracle.simulate(BoucWenParams(n=n), disp)
+        assert excinfo.value.index == index
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [

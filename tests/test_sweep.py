@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -20,12 +21,12 @@ import yaml
 import bracelearn
 from bracelearn import cli, dataset, lstm, oracle, sweep, training
 from bracelearn.errors import DegenerateDataError, ValidationError
-from bracelearn.model import ModelConfig, TrainedModel
+from bracelearn.model import ModelConfig, TrainedModel, load_model
 from bracelearn.sweep import (
     DEFAULT_GRID, derive_seed, emit_predictions, fit_model, run_sweep,
 )
 from bracelearn.training import TrainConfig
-from conftest import IDENTITY_STATS
+from conftest import IDENTITY_STATS, UNWRITABLE_NAMES
 
 FAST_CFG = TrainConfig(max_epochs=2, batch_size=64, seed=0)
 
@@ -78,7 +79,36 @@ class TestRunSweep:
         assert report.best_model == "Model 3d"
         assert report.data_fingerprint == hashlib.sha256(tiny_csv.read_bytes()).hexdigest()
         entry = report.entries[0].to_dict()
-        assert entry["parameter_count"] == report.entries[0].model.net.flat.size
+        saved = load_model(tmp_path / "study" / "model_model-3d.json")
+        assert entry["parameter_count"] == saved.net.flat.size
+
+    @pytest.mark.parametrize("cores", [1, 2], ids=["inline", "workers"])
+    def test_entries_carry_no_network(self, tiny_csv, tmp_path, monkeypatch, cores):
+        # a pickled Model 3c network is about 6 MB; its entry is a report row
+        monkeypatch.setattr(lstm, "_cores", lambda: cores)
+        grid = (ModelConfig("3c-sized", 40, 20, 10), ModelConfig("small", 3, 1, 6))
+        cfg = TrainConfig(max_epochs=1, seed=0)
+        report = run_sweep(tiny_csv, tmp_path / "study", grid, cfg)
+        assert max(len(pickle.dumps(entry)) for entry in report.entries) < 64 * 1024
+        assert [entry.parameter_count for entry in report.entries] == [
+            load_model(tmp_path / "study" / f"model_{name}.json").net.flat.size
+            for name in ("3c-sized", "small")
+        ]
+
+    @pytest.mark.parametrize("name", UNWRITABLE_NAMES.values(), ids=UNWRITABLE_NAMES.keys())
+    def test_unwritable_name_rejected_before_training(self, tiny_csv, tmp_path, name):
+        grid = (ModelConfig("fine", 2, 1, 2), ModelConfig(name, 2, 1, 2))
+        with pytest.raises(ValidationError) as excinfo:
+            run_sweep(tiny_csv, tmp_path / "study", grid, FAST_CFG)
+        assert excinfo.value.field == "grid[1].name"
+        assert not (tmp_path / "study").exists()
+
+    def test_colliding_names_rejected_before_training(self, tiny_csv, tmp_path):
+        # both would write model_m-a.json
+        grid = (ModelConfig("m a", 2, 1, 2), ModelConfig("M-A", 2, 1, 2))
+        with pytest.raises(ValidationError, match="'m a'.*'M-A'"):
+            run_sweep(tiny_csv, tmp_path / "study", grid, FAST_CFG)
+        assert not (tmp_path / "study").exists()
 
     def test_best_model_is_minimum(self, tiny_csv, tmp_path):
         grid = (
@@ -143,6 +173,7 @@ class TestRunSweep:
         failed = report.entries[0]
         assert failed.failed
         assert failed.to_dict()["test_nrmse"] == "diverged"
+        assert failed.parameter_count is None and "parameter_count" not in failed.to_dict()
         assert "epoch 1" in failed.error
         # the partial report keeps the loss curve of the epochs that finished
         assert failed.report.epochs_run == 1
@@ -160,6 +191,7 @@ class TestRunSweep:
         assert [entry.config.name for entry in report.entries] == ["a", "b"]
         for entry in report.entries:
             assert entry.failed and "epoch 1" in entry.error
+            assert entry.parameter_count is None and "parameter_count" not in entry.to_dict()
             assert entry.report.epochs_run == 1 and math.isfinite(entry.report.losses[0])
         assert report.best_model is None
 
