@@ -21,8 +21,8 @@ import yaml
 
 from . import lstm, oracle, sweep as sweep_mod
 from .errors import (
-    ConfigError, DivergenceError, InsufficientDataError, ValidationError, WorkerError, at_least,
-    check, count,
+    ConfigError, DegenerateDataError, DivergenceError, InsufficientDataError, ValidationError,
+    WorkerError, at_least, check, count,
 )
 from .model import ModelConfig, load_fields, load_model, save_model
 from .oracle import BoucWenParams, LoadingProtocol
@@ -55,7 +55,8 @@ def load_config(path=None) -> ExperimentConfig:
     with open(path, "rb") as handle:  # so yaml reports a bad byte as YAMLError
         try:
             doc = yaml.safe_load(handle)
-        except (yaml.YAMLError, RecursionError) as exc:  # deep nesting recurses
+        # deep nesting recurses; an integer past Python's digit limit raises ValueError
+        except (yaml.YAMLError, RecursionError, ValueError) as exc:
             raise ConfigError(f"{path} is not valid YAML: {exc}") from None
     if doc is None:
         doc = {}
@@ -271,7 +272,8 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InsufficientDataError as exc:  # only a --data record can be too short
+    # only a --data record can be too short, or have no usable spread
+    except (InsufficientDataError, DegenerateDataError) as exc:
         print(f"error: {args.data}: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, OSError) as exc:

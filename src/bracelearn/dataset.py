@@ -9,6 +9,7 @@ each window predicting the force at its own last step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,20 +95,26 @@ def split_half(x: Series, y: Series):
 
 
 def fit_norm(train_x: Series, train_y: Series) -> NormStats:
-    """Compute per-channel mean and population standard deviation."""
+    """Compute per-channel mean and population standard deviation.
+
+    A constant channel, or one whose standard deviation overflows the
+    float range, raises DegenerateDataError naming its column.
+    """
     check_pair(train_x, train_y)
-    std_x = float(np.std(train_x.values))
-    std_y = float(np.std(train_y.values))
-    if std_x == 0.0:
-        raise DegenerateDataError("displacement series is constant; cannot normalize")
-    if std_y == 0.0:
-        raise DegenerateDataError("force series is constant; cannot normalize")
-    return NormStats(
-        mean_x=float(np.mean(train_x.values)),
-        std_x=std_x,
-        mean_y=float(np.mean(train_y.values)),
-        std_y=std_y,
-    )
+    stats = []
+    for series in (train_x, train_y):
+        # values too large to square are rejected, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, std = float(np.mean(series.values)), float(np.std(series.values))
+        if std == 0.0:
+            raise DegenerateDataError(f"{series.unit} series is constant; cannot normalize")
+        if not math.isfinite(std):  # an overflowing mean overflows the deviation too
+            raise DegenerateDataError(
+                f"{series.unit} column: its standard deviation overflows the float range",
+                field=series.unit,
+            )
+        stats += [mean, std]
+    return NormStats(*stats)
 
 
 def window(x: Series, y: Series, stats: NormStats, lookback: int) -> WindowedDataset:

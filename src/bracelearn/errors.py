@@ -21,7 +21,7 @@ class ShapeError(ValidationError):
 
 
 class DegenerateDataError(ValidationError):
-    """Data has no usable spread (constant series, zero range)."""
+    """Data has no usable spread: a constant series, or one whose spread overflows."""
 
 
 class InsufficientDataError(ValidationError):

@@ -235,7 +235,9 @@ def load_model(path) -> TrainedModel:
     try:
         with open(path) as handle:
             doc = json.load(handle)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    # ValueError: a JSONDecodeError, a UnicodeDecodeError or an integer past
+    # Python's digit limit; deep nesting recurses
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return _from_document(doc)

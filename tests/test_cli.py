@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: exit codes, artifacts, reproducibility."""
 
 import csv
+import hashlib
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -166,6 +168,48 @@ class TestGenerate:
         assert "force values must be finite" in err and "Warning" not in err
         assert not out.exists()
 
+    #: SHA-256 of each record's CSV, recorded when the RK4 loop still ran on
+    #: numpy scalars and the rows went through csv.writer
+    CSV_SHA256 = {
+        "specimen-a": "aaa1397958e277a2beafaf300272b09cb0aaef4229561126010e266f22c7a743",
+        "specimen-b": "0c2bb164004e92ccb86e23be1ad1fde5218f8ff60cdce1d1127676d654eeb738",
+        "20-points": "76cde56be17e916bbd75fcb24bccae5b3ac7f976e6a1aa4a9076e8db58200b27",
+    }
+
+    @pytest.mark.parametrize("record", list(CSV_SHA256))
+    def test_csv_bytes_are_pinned(self, tmp_path, record):
+        # simulate and write_csv both: the default protocol for each specimen,
+        # and the 521-sample record of the benchmark's sweep
+        flags = {
+            "specimen-a": ["--specimen", "a"],
+            "specimen-b": ["--specimen", "b"],
+            "20-points": ["--config", write_config(tmp_path / "c.yaml",
+                                                   protocol={"points_per_cycle": 20})],
+        }[record]
+        out = tmp_path / "data.csv"
+        assert main(["generate", *flags, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.CSV_SHA256[record]
+
+    def test_protocol_past_the_sample_cap_exits_2_before_allocating(self, tmp_path, capsys):
+        # 1 amplitude x 100000 cycles x 10 points + 1 sample: one past the cap
+        assert oracle.MAX_SAMPLES == 1_000_000
+        config = write_config(tmp_path / "c.yaml", protocol={
+            "amplitude_factors": [1.0], "cycles_per_amplitude": 100_000, "points_per_cycle": 10,
+        })
+        out = tmp_path / "d.csv"
+        tracemalloc.start()
+        try:
+            code = main(["generate", "--config", config, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: protocol.cycles_per_amplitude: ")
+        assert "1000001 samples" in err and err.count("\n") == 1
+        assert peak < 1_000_000  # the record alone would take 8 MB
+        assert not out.exists()
+
 
 class TestStrictConfig:
     def test_misspelled_key_rejected(self, tmp_path, capsys):
@@ -301,6 +345,15 @@ class TestStrictConfig:
         code = main(["generate", "--config", str(config), "--out", str(tmp_path / "d.csv")])
         assert code == 2
         assert str(config) in capsys.readouterr().err
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # Python refuses to parse an int of more than 4300 digits
+        config = tmp_path / "long.yaml"
+        config.write_text("training: {seed: " + "9" * 5000 + "}\n")
+        code = main(["generate", "--config", str(config), "--out", str(tmp_path / "d.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config} is not valid YAML: ") and err.count("\n") == 1
 
     def test_readme_example_loads_to_defaults(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -503,6 +556,28 @@ class TestTrain:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: {data}: need at least 4 samples to split, got 3\n"
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("column", [oracle.DISPLACEMENT, oracle.FORCE])
+    def test_overflowing_data_names_file_and_column(
+        self, tiny_config, tiny_cli_csv, tmp_path, capfd, command, column
+    ):
+        # the square of 1e200 overflows the training half's standard deviation
+        disp, force = oracle.read_csv(tiny_cli_csv)
+        series = {oracle.DISPLACEMENT: disp, oracle.FORCE: force}
+        series[column].values[10] = 1e200
+        data = tmp_path / "huge.csv"
+        oracle.write_csv(data, *series.values())
+        out = tmp_path / "out"
+        argv = {"train": ["--model", "small", "--out", str(out)], "sweep": ["--out-dir", str(out)]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--config", tiny_config, "--data", str(data), *argv[command]])
+        assert code == 2
+        # capfd: a sweep's worker processes write to the same stderr
+        message = f"{column} column: its standard deviation overflows the float range"
+        assert capfd.readouterr().err == f"error: {data}: {message}\n"
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -797,6 +872,18 @@ class TestPredict:
                      "--out", str(tmp_path / "p.csv")])
         assert code == 2
         assert str(model) in capsys.readouterr().err
+
+    def test_integer_past_the_digit_limit_exits_2(self, tiny_cli_csv, tmp_path, capsys):
+        # Python refuses to parse an int of more than 4300 digits
+        model = save_seeded_model(tmp_path / "m.json")
+        text = model.read_text()
+        model.write_text(text.replace('"lookback": 4', '"lookback": ' + "9" * 5000))
+        assert model.read_text() != text
+        code = main(["predict", "--model", str(model), "--data", str(tiny_cli_csv),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model} is not valid JSON: ") and err.count("\n") == 1
 
     def test_round_trip(self, tiny_config, tiny_cli_csv, tmp_path):
         model_path = tmp_path / "m.json"

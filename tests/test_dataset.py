@@ -78,6 +78,15 @@ class TestFitNorm:
         with pytest.raises(DegenerateDataError):
             dataset.fit_norm(x, y)
 
+    @pytest.mark.parametrize("unit", [oracle.DISPLACEMENT, oracle.FORCE])
+    def test_overflowing_deviation_names_the_column(self, unit):
+        # 1e200 squared is past the float range; no RuntimeWarning escapes
+        values = {oracle.DISPLACEMENT: [0.0, 1.0, 2.0], oracle.FORCE: [0.0, 1.0, 2.0]}
+        values[unit] = [0.0, 1e200, 2.0]
+        with pytest.raises(DegenerateDataError, match=f"^{unit} column: ") as excinfo:
+            dataset.fit_norm(*_pair(*values.values()))
+        assert excinfo.value.field == unit
+
     def test_leakage_freedom(self, default_data):
         # stats from the training slice are bit-identical whether computed
         # through the split or on the slice alone

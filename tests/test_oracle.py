@@ -1,6 +1,7 @@
 """Loading-protocol generation and degrading-hysteresis simulation."""
 
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +70,21 @@ class TestLoadingProtocol:
         with pytest.raises(ValidationError, match=message) as excinfo:
             LoadingProtocol(**kwargs)
         assert excinfo.value.field == next(iter(kwargs))
+
+    def test_sample_count_past_the_cap_rejected_before_allocating(self):
+        # 1 amplitude x 100000 cycles x 10 points + 1 sample: one past the cap
+        kwargs = dict(amplitude_factors=(1.0,), points_per_cycle=10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="1000001 samples") as excinfo:
+                LoadingProtocol(cycles_per_amplitude=100_000, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.field == "cycles_per_amplitude"
+        assert peak < 100_000  # no list of peaks, let alone the 8 MB record
+        assert oracle.MAX_SAMPLES == 1_000_000
+        LoadingProtocol(cycles_per_amplitude=99_999, **kwargs)  # 999991 samples
 
 
 class TestSeries:

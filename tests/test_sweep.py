@@ -342,7 +342,8 @@ class TestWorkers:
                              "--out-dir", str(tmp_path / f"study-{cores}")])
             results.append((code, capsys.readouterr().err))
         assert results[0] == results[1]
-        assert results[0] == (2, "error: displacement series is constant; cannot normalize\n")
+        message = f"error: {data}: displacement series is constant; cannot normalize\n"
+        assert results[0] == (2, message)
 
     @pytest.mark.skipif(not CAN_LIST_CHILDREN, reason="needs /proc/<pid>/task/<tid>/children")
     def test_killed_worker_ends_the_sweep_with_one_error_line(self, endless_sweep, tmp_path):
