@@ -17,14 +17,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import lstm, oracle, sweep as sweep_mod
 from .errors import (
     ConfigError, DegenerateDataError, DivergenceError, InsufficientDataError, ValidationError,
     WorkerError, at_least, check, count,
 )
-from .model import ModelConfig, load_fields, load_model, save_model
+from .model import MAX_PARAMETERS, ModelConfig, load_fields, load_model, save_model
 from .oracle import BoucWenParams, LoadingProtocol
 from .sweep import DEFAULT_GRID, fit_model
 from .training import TrainConfig
@@ -49,6 +48,8 @@ def load_config(path=None) -> ExperimentConfig:
     """
     if path is None:
         return ExperimentConfig()
+    import yaml  # here, so a command without --config never loads it
+
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -63,7 +64,7 @@ def load_config(path=None) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a mapping of sections")
     try:
-        config = load_fields(ExperimentConfig, doc, "", ConfigError)
+        config = load_fields(ExperimentConfig, doc, "")
         sweep_mod.check_grid_names(config.grid)
     except ValidationError as exc:
         raise ConfigError(f"{path}: {exc}", field=exc.field) from exc
@@ -201,6 +202,12 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     check(args, hidden=count(1), layers=count(1), lookback=count(1), seed=count(0),
           tolerance=at_least(0))
+    size = lstm.parameter_count(args.hidden, args.layers)
+    if size > MAX_PARAMETERS:
+        raise ValidationError(
+            f"--hidden {args.hidden} x --layers {args.layers} gives {size} parameters, "
+            f"more than the {MAX_PARAMETERS} allowed"
+        )
     rng = np.random.default_rng(args.seed)
     net = lstm.init_network(args.hidden, args.layers, 1, rng=rng)
     window = rng.normal(size=(args.lookback, 1))

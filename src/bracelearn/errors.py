@@ -97,8 +97,9 @@ def check(obj, **rules: Rule) -> None:
     """Raise the rule's error for the first field of ``obj`` that breaks its rule.
 
     The error names the field in its message and in ``field``, to which
-    ``model.load_fields`` prefixes the dotted path of the mapping it read.
-    Every rule rejects nan.
+    ``model.load_fields`` prefixes the dotted path of the mapping it read
+    in the ValidationError it raises; the file reader that called it then
+    names the file and sets the type. Every rule rejects nan.
     """
     for name, rule in rules.items():
         value = getattr(obj, name)

@@ -31,7 +31,6 @@ import contextvars
 import copy
 import math
 import os
-import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -239,6 +238,12 @@ def init_network(
         -np.sqrt(6.0 / (neurons + 1)), np.sqrt(6.0 / (neurons + 1)), size=neurons
     )
     return NetworkParams(cells=cells, W_out=w_out, b_out=np.zeros(1))
+
+
+def parameter_count(neurons: int, hidden_layers: int) -> int:
+    """The ``flat.size`` of ``init_network(neurons, hidden_layers)``, a network of one input."""
+    first = 4 * neurons * (neurons + 2)
+    return first + (hidden_layers - 1) * 4 * neurons * (2 * neurons + 1) + neurons + 1
 
 
 def zeros_like_params(net: NetworkParams) -> NetworkParams:
@@ -526,8 +531,9 @@ def predict(net: NetworkParams, windows: np.ndarray) -> np.ndarray:
 
     The windows are cut into chunks of ``_PREDICT_CHUNK``, and chunk ``j``
     goes to worker ``j % n``. There is one worker per CPU this process may
-    run on, at most one per chunk, and the calling thread is worker 0, so
-    a predict of one chunk starts no thread. The per-step numpy calls and
+    run on, at most one per chunk. The calling thread is worker 0 and a
+    ``ThreadPoolExecutor`` runs the others, so a predict of one chunk
+    starts no thread and imports no pool. The per-step numpy calls and
     matrix products release the GIL, so the workers run on separate
     cores. A chunk is computed the same way whichever worker takes it, so
     the worker count changes no output bit. The chunk size can change the
@@ -538,9 +544,10 @@ def predict(net: NetworkParams, windows: np.ndarray) -> np.ndarray:
     chunks and layers (``_predict_buffers``), about 1.5 times one
     (lookback, 4H, _PREDICT_CHUNK) float64 gate buffer, so peak memory is
     that times the worker count. The caller allocates every buffer before
-    any thread starts. Workers run in copies of the caller's context, so
-    the caller's ``np.errstate`` holds in them; an exception in a worker
-    is raised in the caller once every thread has joined.
+    the pool starts. Workers run in copies of the caller's context, so
+    the caller's ``np.errstate`` holds in them; an exception in any worker,
+    the caller included, is raised in the caller once every thread has
+    joined.
     """
     x = _windows(net, windows)
     out = np.empty(len(x))
@@ -549,27 +556,22 @@ def predict(net: NetworkParams, windows: np.ndarray) -> np.ndarray:
     buffers = [
         _predict_buffers(net, x.shape[1], min(len(x), _PREDICT_CHUNK)) for _ in range(workers)
     ]
-    failures: list[BaseException] = []
 
     def run(k: int) -> None:
-        try:
-            for start in starts[k::workers]:
-                chunk = x[start : start + _PREDICT_CHUNK]
-                out[start : start + len(chunk)] = _run(net, chunk, buffers[k])
-        except BaseException as exc:  # raised in the caller once every thread has joined
-            failures.append(exc)
+        for start in starts[k::workers]:
+            chunk = x[start : start + _PREDICT_CHUNK]
+            out[start : start + len(chunk)] = _run(net, chunk, buffers[k])
 
-    threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(run, k))
-        for k in range(1, workers)
-    ]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if failures:
-        raise failures[0]
+    if workers == 1:
+        run(0)
+        return out
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, run, k) for k in range(1, workers)]
+        run(0)
+    for future in futures:
+        future.result()
     return out
 
 

@@ -13,9 +13,19 @@ import numpy as np
 
 from .dataset import NormStats, denormalize
 from .errors import ModelFormatError, ValidationError, check, count
-from .lstm import CellParams, NetworkParams, predict
+from .lstm import CellParams, NetworkParams, parameter_count, predict
 
 FORMAT_VERSION = 1
+
+#: The most parameters a network may have: about 8 times Model 3c's
+#: 253,001. ``ModelConfig`` checks the count before anything is
+#: allocated. At the cap a model file is about 68 MB, and a one-epoch
+#: ``train`` of the widest such network (705 neurons, one layer, lookback
+#: 30) on a 521-sample record peaks at about 330 MB and takes about 10 s
+#: on two x86-64 cores. The cap bounds the parameters only: a step's
+#: activations grow with neurons x layers x lookback, so a deep, narrow
+#: network under it can still need far more memory.
+MAX_PARAMETERS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -31,6 +41,13 @@ class ModelConfig:
         if not self.name:
             raise ValidationError("model name must be non-empty", field="name")
         check(self, neurons=count(1), hidden_layers=count(1), lookback=count(1))
+        size = parameter_count(self.neurons, self.hidden_layers)
+        if size > MAX_PARAMETERS:
+            raise ValidationError(
+                f"neurons {self.neurons} x hidden_layers {self.hidden_layers} gives {size} "
+                f"parameters, more than the {MAX_PARAMETERS} allowed",
+                field="neurons",
+            )
 
 
 @dataclass
@@ -71,31 +88,25 @@ class _ModelFile:
     parameters: _Parameters
 
 
-def _plain(value):
-    """A dataclass tree as JSON values; unlike ``dataclasses.asdict``, no array is copied."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return value
-
-
 def _json_pieces(value, pad: str = ""):
     """Yield ``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
 
-    ``value`` is a tree of ``_plain`` values. With ``indent`` set, ``json``
-    encodes every number in pure Python; here each list of scalars goes
-    through the C encoder instead, with an item separator that starts
-    each item on its own line, so the text is the same. A list holds only
-    scalars or only containers, as ``ndarray.tolist`` and ``_plain`` make
-    them.
+    ``value`` is a tree of JSON values, dataclasses and arrays, each
+    dataclass encoded as the mapping of its fields and each array as its
+    ``tolist()`` when it is reached. With ``indent`` set, ``json`` encodes
+    every number in pure Python; here each list of scalars goes through
+    the C encoder instead, with an item separator that starts each item
+    on its own line, so the text is the same. A list holds only scalars
+    or only containers, as ``ndarray.tolist`` makes them.
     """
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    elif isinstance(value, np.ndarray):
+        value = value.tolist()
     inner = pad + "  "
     if isinstance(value, dict) and value:
         ends, items = "{}", [(json.dumps(key) + ": ", value[key]) for key in sorted(value)]
-    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+    elif isinstance(value, list) and value and not isinstance(value[0], (int, float)):
         ends, items = "[]", [("", item) for item in value]
     elif isinstance(value, list) and value:
         scalars = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
@@ -116,7 +127,7 @@ def save_model(path, model: TrainedModel) -> None:
     params = _Parameters(model.net.cells, model.net.W_out, float(model.net.b_out[0]))
     tree = _ModelFile(FORMAT_VERSION, model.config, model.stats, params)
     with open(path, "w") as handle:
-        handle.writelines(_json_pieces(_plain(tree)))
+        handle.writelines(_json_pieces(tree))
         handle.write("\n")
 
 
@@ -173,42 +184,46 @@ def _nested(kind) -> bool:
     )
 
 
-def _load(kind, value, path: str, error: type[ValidationError]):
+def _load(kind, value, path: str):
     """Convert one field's value by its annotation (``_KINDS`` for a scalar or array)."""
     if dataclasses.is_dataclass(kind):
-        return load_fields(kind, value, path, error)
+        return load_fields(kind, value, path)
     if _nested(kind):  # a list or tuple of dataclasses
         if not isinstance(value, list) or not value:
-            raise error(f"{path}: expected a non-empty list, got {value!r:.60}", field=path)
+            message = f"expected a non-empty list, got {value!r:.60}"
+            raise ValidationError(f"{path}: {message}", field=path)
         item_cls = typing.get_args(kind)[0]
-        items = (load_fields(item_cls, v, f"{path}[{i}]", error) for i, v in enumerate(value))
+        items = (load_fields(item_cls, v, f"{path}[{i}]") for i, v in enumerate(value))
         return typing.get_origin(kind)(items)
     try:
         return _KINDS[kind](value)
     # OverflowError: math.isfinite of an integer beyond the float range
     except (ValueError, OverflowError) as exc:
-        raise error(f"{path}: {exc}", field=path) from None
+        raise ValidationError(f"{path}: {exc}", field=path) from None
 
 
-def load_fields(cls, raw, where: str, error: type[ValidationError]):
+def load_fields(cls, raw, where: str):
     """Build dataclass ``cls`` from ``raw``, a mapping read from a file.
 
     Descends into every dataclass or list-of-dataclass field, so one call
     with ``where=""`` reads a whole file. A missing field without a default,
     an unknown key, a malformed value or a value that a dataclass rejects
-    raises ``error`` naming the path, such as ``parameters.cells[0].Wh_f``.
-    A null is malformed, except in a defaulted nested field (a config
-    section or ``grid``), where it means the default.
+    raises ValidationError naming the path, such as
+    ``parameters.cells[0].Wh_f``, in its message and ``field``. Each file
+    reader (``cli.load_config``, ``load_model``) catches it, prefixes its
+    file's name and raises its own type. A null is malformed, except in a
+    defaulted nested field (a config section or ``grid``), where it means
+    the default.
     """
     if not isinstance(raw, dict):
         message = f"expected a mapping, got {type(raw).__name__}"
-        raise error(f"{where or 'top level'}: {message}", field=where or None)
+        raise ValidationError(f"{where or 'top level'}: {message}", field=where or None)
     fields = dataclasses.fields(cls)
     names = {f.name for f in fields}
     for key in raw:
         if key not in names:
             path = f"{where}.{key}" if where else str(key)
-            raise error(f"{path}: unknown field", field=path)
+            raise ValidationError(f"{path}: unknown field", field=path)
     hints = typing.get_type_hints(cls)
     values = {}
     for f in fields:
@@ -216,14 +231,14 @@ def load_fields(cls, raw, where: str, error: type[ValidationError]):
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         if f.name not in raw or not required and raw[f.name] is None and _nested(hints[f.name]):
             if required:
-                raise error(f"{path}: missing field", field=path)
+                raise ValidationError(f"{path}: missing field", field=path)
         else:
-            values[f.name] = _load(hints[f.name], raw[f.name], path, error)
+            values[f.name] = _load(hints[f.name], raw[f.name], path)
     try:
         return cls(**values)
     except ValidationError as exc:
         path = ".".join(filter(None, (where, exc.field)))
-        raise error(f"{path}: {exc}", field=path) from exc
+        raise ValidationError(f"{path}: {exc}", field=path) from exc
 
 
 def load_model(path) -> TrainedModel:
@@ -241,7 +256,7 @@ def load_model(path) -> TrainedModel:
         raise ModelFormatError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return _from_document(doc)
-    except ModelFormatError as exc:
+    except ValidationError as exc:
         raise ModelFormatError(f"{path}: {exc}", field=exc.field) from exc
 
 
@@ -253,7 +268,7 @@ def _from_document(doc) -> TrainedModel:
             f"unsupported format_version {version!r}; this build reads version {FORMAT_VERSION}",
             field="format_version",
         )
-    file = load_fields(_ModelFile, doc, "", ModelFormatError)
+    file = load_fields(_ModelFile, doc, "")
     config, params = file.model, file.parameters
     try:
         net = NetworkParams(cells=params.cells, W_out=params.W_out, b_out=np.array([params.b_out]))

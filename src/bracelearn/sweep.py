@@ -430,8 +430,10 @@ def emit_predictions(model: TrainedModel, disp, force, preds, out_csv) -> None:
     cut = split_point(len(disp))
     pred_fields = [""] * (model.config.lookback - 1) + list(map(repr, np.asarray(preds).tolist()))
     rows = zip(oracle.sample_rows(disp, force), pred_fields, strict=True)
+    # csv.writer's bytes: its "\r\n" line ends, and no field needs quoting
     with open(out_csv, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "displacement", "force_true", "force_pred", "split"])
-        for i, (sample, pred) in enumerate(rows):
-            writer.writerow([*sample, pred, "train" if i < cut else "test"])
+        handle.write("t,displacement,force_true,force_pred,split\r\n")
+        handle.writelines(
+            f"{t},{x},{f},{pred},{'train' if i < cut else 'test'}\r\n"
+            for i, ((t, x, f), pred) in enumerate(rows)
+        )

@@ -154,13 +154,10 @@ def train(
 
     The call allocates one ``Tape`` and refills it for every batch, so the
     tape and backward buffers are allocated once and only one batch's
-    activations are alive at a time.
+    activations are alive at a time. A dataset of another input width is
+    rejected by the first batch's forward pass, a ShapeError naming both
+    widths, before any parameter moves.
     """
-    if net.input_dim != train_set.input_dim:
-        raise ValidationError(
-            f"network input_dim {net.input_dim} does not match dataset "
-            f"input_dim {train_set.input_dim}"
-        )
     rng = np.random.default_rng(cfg.seed)
     inputs = train_set.inputs
     targets = train_set.targets

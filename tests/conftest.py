@@ -1,10 +1,13 @@
 """Shared fixtures: datasets are expensive enough to build once per session."""
 
 import multiprocessing
+import os
 import threading
+from pathlib import Path
 
 import pytest
 
+import bracelearn
 from bracelearn import lstm, oracle
 from bracelearn.dataset import NormStats
 
@@ -16,6 +19,12 @@ IDENTITY_STATS = NormStats(mean_x=0.0, std_x=1.0, mean_y=0.0, std_y=1.0)
 #: which a YAML escape gives, has no file-name encoding.
 UNWRITABLE_NAMES = {"x/y": "x/y", "x\\y": "x\\y", "../up": "../up", "250-chars": "x" * 250,
                     "surrogate": "a\ud800"}
+
+
+def package_environ() -> dict[str, str]:
+    """``os.environ`` with this checkout's ``src`` first on PYTHONPATH, for a fresh interpreter."""
+    paths = [str(Path(bracelearn.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 @pytest.fixture(scope="session")

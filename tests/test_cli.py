@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -23,7 +25,7 @@ from bracelearn.errors import ConfigError
 from bracelearn.model import ModelConfig, TrainedModel, save_model
 from bracelearn.sweep import DEFAULT_GRID
 from bracelearn.training import TrainConfig
-from conftest import IDENTITY_STATS, UNWRITABLE_NAMES
+from conftest import IDENTITY_STATS, UNWRITABLE_NAMES, package_environ
 
 TINY_PROTOCOL = {
     "delta_y": 0.1,
@@ -62,6 +64,24 @@ def save_seeded_model(path):
     net = lstm.init_network(3, 1, 1, rng=np.random.default_rng(0))
     save_model(path, TrainedModel(net=net, config=ModelConfig("m", 3, 1, 4), stats=IDENTITY_STATS))
     return path
+
+
+#: The address space of a ``run_capped`` command: enough for the interpreter
+#: and numpy, far short of a network past ``model.MAX_PARAMETERS``.
+ADDRESS_LIMIT = 1 << 30
+
+
+def run_capped(*argv):
+    """The CLI in a fresh interpreter whose address space is ``ADDRESS_LIMIT`` bytes.
+
+    A size check that the command misses then ends in a MemoryError, not
+    in the machine running out of memory.
+    """
+    code = ("import resource, sys; limit = int(sys.argv[1]); "
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit)); "
+            "from bracelearn.cli import main; sys.exit(main(sys.argv[2:]))")
+    return subprocess.run([sys.executable, "-c", code, str(ADDRESS_LIMIT), *argv],
+                          env=package_environ(), capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture()
@@ -295,6 +315,24 @@ class TestStrictConfig:
         with pytest.raises(ConfigError) as excinfo:
             load_config(config)
         assert excinfo.value.field == field.split(":")[0]
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_grid_entry_past_the_parameter_cap_exits_2_before_allocating(
+        self, tiny_cli_csv, tmp_path, command
+    ):
+        # 20000 neurons: 1.6e9 parameters, 12.8 GB for the weights alone
+        config = write_config(tmp_path / "big.yaml", grid=[
+            {"name": "big", "neurons": 20_000, "hidden_layers": 1, "lookback": 10},
+        ])
+        out = {"train": ["--model", "big", "--out", str(tmp_path / "m.json")],
+               "sweep": ["--out-dir", str(tmp_path / "sweep")]}[command]
+        done = run_capped(command, "--config", config, "--data", str(tiny_cli_csv), *out)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == (
+            f"error: {config}: grid[0].neurons: neurons 20000 x hidden_layers 1 gives "
+            f"1600180001 parameters, more than the 2000000 allowed\n"
+        )
+        assert not (tmp_path / "m.json").exists() and not (tmp_path / "sweep").exists()
 
     def test_colliding_grid_slugs_rejected(self, tmp_path):
         # both would be written as model_m-a.json, predictions_m-a.csv, ...
@@ -1028,6 +1066,16 @@ class TestGradcheckCommand:
         assert f"{flag.lstrip('-')} must be" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--hidden", "100000"], "--hidden 100000 x --layers 2 gives 120001300001 parameters"),
+        (["--layers", "100000000"], "--hidden 4 x --layers 100000000 gives 14399999957 parameters"),
+    ])
+    def test_network_past_the_parameter_cap_exits_2_before_allocating(self, flags, message):
+        done = run_capped("gradcheck", *flags)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == f"error: {message}, more than the 2000000 allowed\n"
+        assert done.stdout == ""
 
     def test_overflowing_eps_fails_without_traceback(self, capsys):
         # the perturbed loss overflows the float range: non-finite, so FAIL

@@ -145,6 +145,11 @@ class TestForward:
         pred = lstm.predict(net, window[np.newaxis])[0]
         assert pred == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("neurons, layers", [(1, 1), (1, 4), (5, 5), (40, 20)])
+    def test_parameter_count_is_the_flat_size(self, neurons, layers):
+        net = lstm.init_network(neurons, layers, rng=np.random.default_rng(7))
+        assert lstm.parameter_count(neurons, layers) == net.flat.size
+
     def test_input_dim_mismatch(self):
         net = lstm.init_network(4, 1, 1, rng=np.random.default_rng(0))
         with pytest.raises(ShapeError):
@@ -273,7 +278,7 @@ class TestPredictThreads:
         def refuse(thread):
             raise AssertionError("predict started a thread")
 
-        monkeypatch.setattr(lstm.threading.Thread, "start", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         rng = np.random.default_rng(32)
         net = lstm.init_network(3, 2, 1, rng=rng)
         assert lstm.predict(net, rng.normal(size=(4, 5, 1))).shape == (4,)

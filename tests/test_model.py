@@ -1,5 +1,6 @@
 """Model JSON round trip and format validation."""
 
+import dataclasses
 import hashlib
 import json
 import tempfile
@@ -59,6 +60,28 @@ class TestRoundTrip:
         model.save_model(path, trained)
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+    @pytest.mark.parametrize("layers, input_dim", [(1, 1), (1, 2), (3, 1), (3, 2)])
+    def test_file_is_json_dumps_of_the_field_tree(self, tmp_path, layers, input_dim):
+        net = lstm.init_network(3, layers, input_dim, rng=np.random.default_rng(43))
+        config = ModelConfig("Model T", 3, layers, 5)
+        stats = NormStats(mean_x=-0.0, std_x=1e-300, mean_y=5e300, std_y=0.5)
+        gates = [f"{kind}_{gate}" for kind in ("Wx", "Wh", "b") for gate in "ifog"]
+        tree = {
+            "format_version": 1,
+            "model": dataclasses.asdict(config),
+            "normalization": dataclasses.asdict(stats),
+            "parameters": {
+                "cells": [{name: getattr(cell, name).tolist() for name in gates}
+                          for cell in net.cells],
+                "W_out": net.W_out.tolist(),
+                "b_out": float(net.b_out[0]),
+            },
+        }
+        path = tmp_path / "model.json"
+        model.save_model(path, TrainedModel(net=net, config=config, stats=stats))
+        assert path.read_text() == json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
 class TestPinnedFile:
@@ -156,6 +179,24 @@ class TestModelConfig:
             ModelConfig("m", 0, 1, 1)
         with pytest.raises(ValidationError):
             ModelConfig("", 1, 1, 1)
+
+    def test_parameter_cap(self):
+        # the widest one-layer network under the cap, and one neuron wider
+        assert lstm.parameter_count(705, 1) <= model.MAX_PARAMETERS < lstm.parameter_count(706, 1)
+        ModelConfig("m", 705, 1, 1)
+        with pytest.raises(ValidationError, match="more than the 2000000 allowed") as excinfo:
+            ModelConfig("m", 706, 1, 1)
+        assert excinfo.value.field == "neurons"
+
+    def test_file_declaring_a_network_past_the_cap_rejected(self, trained, tmp_path):
+        path = tmp_path / "model.json"
+        model.save_model(path, trained)
+        doc = json.loads(path.read_text())
+        doc["model"]["hidden_layers"] = 10**6
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=r"model\.neurons: .* more than the") as excinfo:
+            model.load_model(path)
+        assert excinfo.value.field == "model.neurons"
 
     def test_predict_checks_lookback(self, trained):
         with pytest.raises(ValidationError, match="windows"):

@@ -1,13 +1,12 @@
 """The package's public namespace, and what importing it loads."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import bracelearn
+from conftest import package_environ
 
 
 def test_every_public_name_resolves():
@@ -16,14 +15,21 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
+def loaded_modules(module: str, packages: tuple[str, ...]) -> str:
+    """The modules of ``packages`` that a fresh interpreter holds after importing ``module``."""
+    code = (f"import sys, {module}; print(sorted(name for name in sys.modules "
+            f"if name.split('.')[0] in {packages!r}))")
+    result = subprocess.run([sys.executable, "-c", code], env=package_environ(),
+                            capture_output=True, text=True, timeout=60, check=True)
+    return result.stdout
+
+
 @pytest.mark.parametrize("module", ["bracelearn", "bracelearn.cli"])
 def test_import_loads_no_process_pool(module):
     # a sweep imports these only when it starts its workers; every command pays for an import
-    code = (f"import sys, {module}; print(sorted(name for name in sys.modules "
-            "if name.split('.')[0] in ('multiprocessing', 'concurrent')))")
-    src = str(Path(bracelearn.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                            timeout=60, check=True)
-    assert result.stdout == "[]\n"
+    assert loaded_modules(module, ("multiprocessing", "concurrent")) == "[]\n"
+
+
+def test_cli_import_loads_no_yaml():
+    # only a command given --config reads yaml, so predict and gradcheck never load it
+    assert loaded_modules("bracelearn.cli", ("yaml",)) == "[]\n"

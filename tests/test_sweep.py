@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 import yaml
 
-import bracelearn
 from bracelearn import cli, dataset, lstm, oracle, sweep, training
 from bracelearn.errors import DegenerateDataError, ValidationError
 from bracelearn.model import ModelConfig, TrainedModel, load_model
@@ -26,7 +25,7 @@ from bracelearn.sweep import (
     DEFAULT_GRID, derive_seed, emit_predictions, fit_model, run_sweep,
 )
 from bracelearn.training import TrainConfig
-from conftest import IDENTITY_STATS, UNWRITABLE_NAMES
+from conftest import IDENTITY_STATS, UNWRITABLE_NAMES, package_environ
 
 FAST_CFG = TrainConfig(max_epochs=2, batch_size=64, seed=0)
 
@@ -211,11 +210,10 @@ CAN_LIST_CHILDREN = Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exi
 
 def start_cli(cores, argv, blas_threads=None):
     """The CLI in a subprocess of its own session; BLAS at its default unless ``blas_threads``."""
-    env = {name: value for name, value in os.environ.items() if name not in THREAD_VARIABLES}
+    env = {name: value for name, value in package_environ().items()
+           if name not in THREAD_VARIABLES}
     if blas_threads is not None:
         env.update(dict.fromkeys(THREAD_VARIABLES, str(blas_threads)))
-    src = str(Path(bracelearn.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.Popen(
         [sys.executable, "-c", SWEEP_SCRIPT, str(cores), *argv], env=env, text=True,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
@@ -452,6 +450,24 @@ class TestEmitPredictions:
         changes = [i for i in range(1, len(labels)) if labels[i] != labels[i - 1]]
         assert changes == [cut]
         assert labels[0] == "train" and labels[-1] == "test"
+
+    @pytest.mark.parametrize("lookback", [1, 30])
+    def test_bytes_are_csv_writers(self, tmp_path, lookback):
+        values = np.array([-0.0, 1e-300, 5e300, -2.5, 0.1] * 8)
+        disp = oracle.Series(dt=0.01, values=values, unit="displacement", t0=3.7)
+        force = oracle.Series(dt=0.01, values=-values[::-1], unit="force", t0=3.7)
+        preds = np.resize([-0.0, 1e-300, 5e300, -7.25, -1e-5], len(values) - lookback + 1)
+        out, reference = tmp_path / "pred.csv", tmp_path / "reference.csv"
+        emit_predictions(FakeModel(force.values, lookback), disp, force, preds, out)
+        cut = dataset.split_point(len(values))
+        fields = [""] * (lookback - 1) + [repr(p) for p in preds.tolist()]
+        with open(reference, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["t", "displacement", "force_true", "force_pred", "split"])
+            for i, (x, f, p) in enumerate(zip(values.tolist(), force.values.tolist(), fields)):
+                t = 3.7 + i * 0.01
+                writer.writerow([repr(t), repr(x), repr(f), p, "train" if i < cut else "test"])
+        assert out.read_bytes() == reference.read_bytes()
 
     def test_trained_model_emission(self, tiny_data, tmp_path):
         disp, force = tiny_data

@@ -117,6 +117,13 @@ class TestTrain:
         _, report = training.train(net, data, cfg)
         assert report.losses[49] < report.losses[0]
 
+    def test_input_width_mismatch_rejected_before_any_update(self):
+        net = lstm.init_network(4, 1, 2, rng=np.random.default_rng(34))
+        before = net.flat.copy()
+        with pytest.raises(ValidationError, match=r"input_dim 2\b.* 1$"):  # names both widths
+            training.train(net, toy_dataset(), TrainConfig(max_epochs=2, batch_size=4))
+        np.testing.assert_array_equal(net.flat, before)
+
     def test_divergence_error_carries_epoch(self):
         data = WindowedDataset(
             inputs=np.zeros((4, 3, 1)),
