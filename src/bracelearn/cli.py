@@ -23,7 +23,9 @@ from .errors import (
     ConfigError, DegenerateDataError, DivergenceError, InsufficientDataError, ValidationError,
     WorkerError, at_least, check, count,
 )
-from .model import MAX_PARAMETERS, ModelConfig, load_fields, load_model, save_model
+from .model import (
+    MAX_PARAMETERS, MAX_WINDOW_ACTIVATIONS, ModelConfig, load_fields, load_model, save_model,
+)
 from .oracle import BoucWenParams, LoadingProtocol
 from .sweep import DEFAULT_GRID, fit_model
 from .training import TrainConfig
@@ -208,6 +210,13 @@ def cmd_gradcheck(args) -> int:
             f"--hidden {args.hidden} x --layers {args.layers} gives {size} parameters, "
             f"more than the {MAX_PARAMETERS} allowed"
         )
+    activations = args.lookback * args.hidden * args.layers
+    if activations > MAX_WINDOW_ACTIVATIONS:
+        raise ValidationError(
+            f"--lookback {args.lookback} x --hidden {args.hidden} x --layers {args.layers} "
+            f"gives {activations} activations per window, "
+            f"more than the {MAX_WINDOW_ACTIVATIONS} allowed"
+        )
     rng = np.random.default_rng(args.seed)
     net = lstm.init_network(args.hidden, args.layers, 1, rng=rng)
     window = rng.normal(size=(args.lookback, 1))
@@ -279,7 +288,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    # only a --data record can be too short, or have no usable spread
+    # only a --data record can be too short, have no usable spread or overflow its scaling
     except (InsufficientDataError, DegenerateDataError) as exc:
         print(f"error: {args.data}: {exc}", file=sys.stderr)
         return 2

@@ -120,7 +120,8 @@ def fit_norm(train_x: Series, train_y: Series) -> NormStats:
 def window(x: Series, y: Series, stats: NormStats, lookback: int) -> WindowedDataset:
     """Normalize and slice both series into overlapping lookback windows.
 
-    A series that ``stats`` scale past the float range raises ValidationError.
+    A series that ``stats`` scale past the float range raises
+    DegenerateDataError, naming the statistic in ``field``.
     """
     check_pair(x, y)
     if lookback < 1:
@@ -137,7 +138,7 @@ def window(x: Series, y: Series, stats: NormStats, lookback: int) -> WindowedDat
     for series, scaled, std in ((x, xn, "std_x"), (y, yn, "std_y")):
         if not np.isfinite(scaled).all():
             message = f"{series.unit} normalized by {std} {getattr(stats, std)!r} overflows"
-            raise ValidationError(message, field=std)
+            raise DegenerateDataError(message, field=std)
     inputs = sliding_window_view(xn, lookback)[:, :, np.newaxis].copy()
     targets = yn[lookback - 1 :].copy()
     return WindowedDataset(inputs=inputs, targets=targets)

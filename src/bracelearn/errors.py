@@ -21,7 +21,7 @@ class ShapeError(ValidationError):
 
 
 class DegenerateDataError(ValidationError):
-    """Data has no usable spread: a constant series, or one whose spread overflows."""
+    """Data has no usable spread, or its normalization passes the float range."""
 
 
 class InsufficientDataError(ValidationError):

@@ -505,27 +505,6 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _predict_buffers(net: NetworkParams, steps: int, batch: int) -> dict[object, np.ndarray]:
-    """One worker's buffers for tapeless passes of up to ``batch`` windows.
-
-    Keyed as ``_layer`` takes them without a tape and sized for the widest
-    layer, so ``_take`` never grows one: one layer's gates, the h pair,
-    two c rows and one tanh(c) row, ``rec``, ``ig`` and the inputs.
-    """
-    hid = max(cell.hidden_size for cell in net.cells)
-    shapes = {
-        "inputs": (steps, net.input_dim),
-        ("gates", 0): (steps, 4 * hid),
-        ("h", 0): (steps + 1, hid),
-        ("h", 1): (steps + 1, hid),
-        ("c", 0): (2, hid),
-        ("tanh_c", 0): (1, hid),
-        "rec": (4 * hid,),
-        "ig": (hid,),
-    }
-    return {key: np.empty(math.prod(shape) * batch) for key, shape in shapes.items()}
-
-
 def predict(net: NetworkParams, windows: np.ndarray) -> np.ndarray:
     """Forward-only predictions for many windows, in chunks spread over threads.
 
@@ -541,35 +520,40 @@ def predict(net: NetworkParams, windows: np.ndarray) -> np.ndarray:
     of a product with an edge kernel chosen by the column count.
 
     No tape is kept. Each worker reuses one set of buffers for all its
-    chunks and layers (``_predict_buffers``), about 1.5 times one
-    (lookback, 4H, _PREDICT_CHUNK) float64 gate buffer, so peak memory is
-    that times the worker count. The caller allocates every buffer before
-    the pool starts. Workers run in copies of the caller's context, so
-    the caller's ``np.errstate`` holds in them; an exception in any worker,
-    the caller included, is raised in the caller once every thread has
-    joined.
+    chunks and layers, about 1.5 times one (lookback, 4H, _PREDICT_CHUNK)
+    float64 gate buffer, so peak memory is that times the worker count.
+    The caller's first chunk, the widest, sizes worker 0's buffers as
+    ``_run`` takes them, and the other workers get copies of those before
+    the pool starts, so every buffer is allocated on the calling thread
+    and no later chunk grows one. Workers run in copies of the caller's
+    context, so the caller's ``np.errstate`` holds in them; an exception
+    in any worker, the caller included, is raised in the caller once
+    every thread has joined.
     """
     x = _windows(net, windows)
     out = np.empty(len(x))
     starts = range(0, len(x), _PREDICT_CHUNK)
     workers = min(_cores(), len(starts)) or 1
-    buffers = [
-        _predict_buffers(net, x.shape[1], min(len(x), _PREDICT_CHUNK)) for _ in range(workers)
-    ]
+    buffers = [{}]
 
-    def run(k: int) -> None:
-        for start in starts[k::workers]:
+    def run(k: int, chunks: range) -> None:
+        for start in chunks:
             chunk = x[start : start + _PREDICT_CHUNK]
             out[start : start + len(chunk)] = _run(net, chunk, buffers[k])
 
+    run(0, starts[:1])  # the widest chunk: its buffers fit every chunk
+    buffers += [{k: np.empty_like(b) for k, b in buffers[0].items()} for _ in range(workers - 1)]
     if workers == 1:
-        run(0)
+        run(0, starts[1:])
         return out
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, run, k) for k in range(1, workers)]
-        run(0)
+        futures = [
+            pool.submit(contextvars.copy_context().run, run, k, starts[k::workers])
+            for k in range(1, workers)
+        ]
+        run(0, starts[workers::workers])
     for future in futures:
         future.result()
     return out

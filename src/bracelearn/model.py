@@ -27,6 +27,13 @@ FORMAT_VERSION = 1
 #: network under it can still need far more memory.
 MAX_PARAMETERS = 2_000_000
 
+#: The most activations ``gradcheck`` may draw one window for: lookback x
+#: neurons x layers, checked before anything is drawn. The default (5 x 4
+#: x 2 = 40) and Model 3c (30 x 40 x 20 = 24,000) are far below it. At
+#: the cap the window's tape, its gradients and a predict of it bring the
+#: process to about 170 MB (lookback 25,000, 40 neurons, one layer; x86-64).
+MAX_WINDOW_ACTIVATIONS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ModelConfig:

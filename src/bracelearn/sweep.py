@@ -422,7 +422,10 @@ def write_summary_csv(report: SweepReport, path, include_timing: bool = False) -
 def emit_predictions(model: TrainedModel, disp, force, preds, out_csv) -> None:
     """Write ``t,displacement,force_true,force_pred,split`` over the full record.
 
-    The first three fields are ``oracle.sample_rows``, as in the data CSV.
+    The first three fields are ``oracle.sample_rows``: the data CSV's row
+    for a file ``oracle.write_csv`` wrote. For another file ``t`` is
+    ``t0 + i * dt``, and the displacement and force keep their values
+    but are printed by ``repr``, not copied as text.
     ``preds`` is the force predicted for every window (``TrainedModel.predict``);
     the first ``lookback - 1`` rows end no window and leave force_pred
     empty. The split column tags each sample by ``split_point``.

@@ -22,7 +22,7 @@ from bracelearn import sweep as sweep_mod
 from bracelearn.cli import load_config, main
 from bracelearn.dataset import NormStats
 from bracelearn.errors import ConfigError
-from bracelearn.model import ModelConfig, TrainedModel, save_model
+from bracelearn.model import MAX_WINDOW_ACTIVATIONS, ModelConfig, TrainedModel, save_model
 from bracelearn.sweep import DEFAULT_GRID
 from bracelearn.training import TrainConfig
 from conftest import IDENTITY_STATS, UNWRITABLE_NAMES, package_environ
@@ -618,6 +618,34 @@ class TestTrain:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["train", "sweep", "predict"])
+    def test_overflowing_normalization_names_the_file(
+        self, tiny_config, tmp_path, capfd, command
+    ):
+        # the training half's displacement spread is 1e-150 (the model's
+        # std_x is 1e-310), so the held-out half's 1e160 overflows once scaled
+        disp = [(-1.0) ** i * 1e-150 for i in range(20)] + [0.0] * 19 + [1e160]
+        data = tmp_path / "narrow.csv"
+        oracle.write_csv(data, oracle.Series(0.01, disp, oracle.DISPLACEMENT),
+                         oracle.Series(0.01, np.sin(np.arange(40.0)), oracle.FORCE))
+        model = tmp_path / "m.json"
+        net = lstm.init_network(3, 1, 1, rng=np.random.default_rng(0))
+        save_model(model, TrainedModel(net=net, config=ModelConfig("m", 3, 1, 4),
+                                       stats=NormStats(0.0, 1e-310, 0.0, 1.0)))
+        out = tmp_path / "out"
+        argv = {"train": ["--config", tiny_config, "--model", "small", "--out", str(out)],
+                "sweep": ["--config", tiny_config, "--out-dir", str(out)],
+                "predict": ["--model", str(model), "--out", str(out)]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--data", str(data), *argv])
+        assert code == 2
+        # capfd: a sweep's worker processes write to the same stderr
+        err = capfd.readouterr().err
+        assert err.startswith(f"error: {data}: displacement normalized by std_x ")
+        assert err.endswith(" overflows\n") and err.count("\n") == 1
+
+
 class TestSweepCommand:
     def test_artifacts_and_determinism(self, tiny_config, tiny_cli_csv, tmp_path, capsys):
         summaries = []
@@ -965,6 +993,22 @@ class TestPredict:
             times = [row["t"] for row in csv.DictReader(handle)]
         assert times == [repr(5.0 + 0.5 * i) for i in range(10)]
 
+    def test_prediction_csv_of_a_hand_written_file_holds_its_numbers(self, tmp_path):
+        # t is t0 + i * dt and each value its float's repr, not the file's text
+        data = tmp_path / "hand.csv"
+        rows = [[f"{i / 10:.1f}", f"{math.sin(i):.3f}", f"{math.cos(i):.3f}"] for i in range(40)]
+        data.write_text("\n".join(["t,displacement,force", *map(",".join, rows)]) + "\n")
+        out = tmp_path / "pred.csv"
+        assert main(["predict", "--model", str(save_seeded_model(tmp_path / "m.json")),
+                     "--data", str(data), "--out", str(out)]) == 0
+        with open(out) as handle:
+            written = [row[:3] for row in list(csv.reader(handle))[1:]]
+        assert len(written) == len(rows)
+        assert any(text != row for text, row in zip(written, rows))
+        for i, ((t, x, f), row) in enumerate(zip(written, rows)):
+            assert float(t) == 0.0 + i * 0.1
+            assert [float(x), float(f)] == [float(row[1]), float(row[2])]
+
     def test_byte_order_mark_predicts_same_bytes(self, tiny_cli_csv, tmp_path):
         marked = tmp_path / "marked.csv"
         marked.write_bytes(b"\xef\xbb\xbf" + tiny_cli_csv.read_bytes())
@@ -1076,6 +1120,23 @@ class TestGradcheckCommand:
         assert done.returncode == 2, done.stderr
         assert done.stderr == f"error: {message}, more than the 2000000 allowed\n"
         assert done.stdout == ""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lookback", "1000000000"],
+         "--lookback 1000000000 x --hidden 4 x --layers 2 gives 8000000000 activations"),
+        (["--lookback", "20000000", "--hidden", "40", "--layers", "20"],
+         "--lookback 20000000 x --hidden 40 x --layers 20 gives 16000000000 activations"),
+    ])
+    def test_window_past_the_activation_cap_exits_2_before_drawing(self, flags, message):
+        done = run_capped("gradcheck", *flags)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == f"error: {message} per window, more than the 1000000 allowed\n"
+        assert done.stdout == ""
+
+    def test_activation_cap_admits_every_built_in_model(self):
+        for config in DEFAULT_GRID:
+            activations = config.lookback * config.neurons * config.hidden_layers
+            assert 10 * activations <= MAX_WINDOW_ACTIVATIONS, config.name
 
     def test_overflowing_eps_fails_without_traceback(self, capsys):
         # the perturbed loss overflows the float range: non-finite, so FAIL

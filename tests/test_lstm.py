@@ -257,22 +257,40 @@ class TestPredictThreads:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_worker_buffers_are_allocated_up_front(self):
-        # a worker only takes views of the buffers the caller allocated, for
-        # a short chunk too, whatever the layer widths and the input width
+    def test_worker_buffers_are_allocated_up_front(self, monkeypatch):
+        # every buffer a worker uses is allocated on the calling thread, for
+        # a short last chunk too, whatever the layer widths and the input width
+        real_take, callers, allocators = lstm._take, set(), []
+
+        def recording_take(buffers, key, shape):
+            before = buffers.get(key)
+            view = real_take(buffers, key, shape)
+            callers.add(threading.get_ident())
+            if buffers[key] is not before:
+                allocators.append(threading.get_ident())
+            return view
+
+        monkeypatch.setattr(lstm, "_take", recording_take)
+        monkeypatch.setattr(lstm, "_PREDICT_CHUNK", 4)
         rng = np.random.default_rng(34)
         wide = lstm.init_network(5, 1, 6, rng=rng).cells[0]
         narrow = lstm.init_network(3, 1, 5, rng=rng).cells[0]
+        # the narrow first layer's gates are grown by the wide second layer's
+        narrow_in = lstm.init_network(3, 1, 6, rng=rng).cells[0]
+        wide_in = lstm.init_network(5, 1, 3, rng=rng).cells[0]
         for net in (
             lstm.init_network(4, 3, 6, rng=rng),
             NetworkParams(cells=[wide, narrow], W_out=np.ones(3), b_out=np.zeros(1)),
+            NetworkParams(cells=[narrow_in, wide_in], W_out=np.ones(5), b_out=np.zeros(1)),
         ):
-            buffers = lstm._predict_buffers(net, 7, 5)
-            allocated = dict(buffers)
-            for batch in (5, 2):
-                lstm._run(net, rng.normal(size=(batch, 7, net.input_dim)), buffers)
-            assert buffers.keys() == allocated.keys()
-            assert all(buffers[key] is allocated[key] for key in allocated)
+            windows = rng.normal(size=(4 * 5 + 2, 7, 6))
+            for workers in (2, 3):
+                monkeypatch.setattr(lstm, "_cores", lambda: workers)
+                callers.clear()
+                allocators.clear()
+                lstm.predict(net, windows)
+                assert len(callers) > 1  # the pool ran chunks
+                assert set(allocators) <= {threading.get_ident()}
 
     def test_one_chunk_starts_no_thread(self, two_workers, monkeypatch):
         def refuse(thread):

@@ -53,3 +53,13 @@ def test_prints_each_module_then_the_total(tmp_path, capsys):
     assert load_tool().main([str(tmp_path)]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert lines == [["1", "b.py"], ["10", "pkg/a.py"], ["11", "total"]]
+
+
+def test_defs_prints_each_top_level_function_and_class(tmp_path, capsys):
+    # a decorator counts with its function; module-level code counts nowhere
+    decorated = '\n\n@staticmethod\ndef h():\n    """Docstring."""\n    return 1\n'
+    (tmp_path / "a.py").write_text(SOURCE + decorated)
+    (tmp_path / "b.py").write_text("x = 1\n")
+    assert load_tool().main(["--defs", str(tmp_path)]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert lines == [["6", "a.py:A"], ["3", "a.py:g"], ["3", "a.py:h"]]

@@ -5,14 +5,17 @@ or an indentation change, and is not part of a module, class or
 function docstring. A token that spans lines, such as a triple-quoted
 string, counts every line it spans.
 
-Usage: python tools/code_lines.py [DIR]   (DIR defaults to src/bracelearn)
+Usage: python tools/code_lines.py [--defs] [DIR]   (DIR defaults to src/bracelearn)
 
 Prints one ``<count> <module>`` line per ``.py`` file under DIR, sorted by
-path, and then ``<count> total``. Standard library only.
+path, and then ``<count> total``. With ``--defs`` it prints instead one
+``<count> <module>:<name>`` line per top-level function or class, its
+decorators included, in source order. Standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -25,7 +28,8 @@ _SKIPPED = {
     tokenize.ENDMARKER, tokenize.ENCODING,
 }
 
-_SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPES = (ast.Module, *_DEFS)
 
 
 def docstring_lines(tree: ast.Module) -> set[int]:
@@ -40,23 +44,50 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def count_code_lines(source: str) -> int:
-    """The number of code lines in the Python module text ``source``."""
+def code_lines(source: str) -> set[int]:
+    """The line numbers of the code lines in the Python module text ``source``."""
     lines = set()
     for token in tokenize.generate_tokens(io.StringIO(source).readline):
         if token.type not in _SKIPPED:
             lines.update(range(token.start[0], token.end[0] + 1))
-    return len(lines - docstring_lines(ast.parse(source)))
+    return lines - docstring_lines(ast.parse(source))
+
+
+def count_code_lines(source: str) -> int:
+    """The number of code lines in the Python module text ``source``."""
+    return len(code_lines(source))
+
+
+def count_defs(source: str) -> list[tuple[str, int]]:
+    """``(name, code lines)`` of each top-level function and class in ``source``."""
+    lines = code_lines(source)
+    defs = []
+    for node in ast.parse(source).body:
+        if isinstance(node, _DEFS):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            defs.append((node.name, len(lines.intersection(range(first, node.end_lineno + 1)))))
+    return defs
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else "src/bracelearn")
-    total = 0
+    parser = argparse.ArgumentParser(description="Count the code lines of a Python source tree.")
+    parser.add_argument("--defs", action="store_true",
+                        help="one line per top-level function or class")
+    parser.add_argument("dir", nargs="?", default="src/bracelearn")
+    args = parser.parse_args(argv)
+    root = Path(args.dir)
+    rows = []
     for path in sorted(root.rglob("*.py")):
-        count = count_code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d} {path.relative_to(root)}")
-    print(f"{total:6d} total")
+        source = path.read_text(encoding="utf-8")
+        module = path.relative_to(root)
+        if args.defs:
+            rows += [(count, f"{module}:{name}") for name, count in count_defs(source)]
+        else:
+            rows.append((count_code_lines(source), str(module)))
+    if not args.defs:
+        rows.append((sum(count for count, _ in rows), "total"))
+    for count, label in rows:
+        print(f"{count:6d} {label}")
     return 0
 
 
