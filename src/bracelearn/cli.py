@@ -20,8 +20,8 @@ import numpy as np
 
 from . import lstm, oracle, sweep as sweep_mod
 from .errors import (
-    ConfigError, DegenerateDataError, DivergenceError, InsufficientDataError, ValidationError,
-    WorkerError, at_least, check, count,
+    ConfigError, DegenerateDataError, DivergenceError, InsufficientDataError, ModelFormatError,
+    ValidationError, WorkerError, at_least, check, count,
 )
 from .model import (
     MAX_PARAMETERS, MAX_WINDOW_ACTIVATIONS, ModelConfig, load_fields, load_model, save_model,
@@ -194,9 +194,20 @@ def cmd_predict(args) -> int:
     out = Path(args.out)
     _preflight({"--model": args.model, "--data": args.data}, {"--out": out})
     model = load_model(args.model)
+    if model.net.input_dim != 1:
+        message = f"the network takes {model.net.input_dim} inputs per step, but a data CSV gives 1"
+        raise ModelFormatError(f"{args.model}: {message}", field="parameters")
     disp, force = oracle.read_csv(args.data)
     data = sweep_mod.window(disp, force, model.stats, model.config.lookback)
-    sweep_mod.emit_predictions(model, disp, force, model.predict(data.inputs), out)
+    # a prediction past the float range is rejected before any file is opened, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = model.predict(data.inputs)
+    bad = np.flatnonzero(~np.isfinite(preds))
+    if bad.size:
+        sample = bad[0] + model.config.lookback - 1  # the sample window bad[0] ends in
+        message = f"predicted force must be finite, got {preds[bad[0]]} at sample {sample}"
+        raise ValidationError(f"{args.model}: {message}")
+    sweep_mod.emit_predictions(model, disp, force, preds, out)
     print(f"wrote {out}")
     return 0
 

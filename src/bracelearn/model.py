@@ -19,9 +19,9 @@ FORMAT_VERSION = 1
 
 #: The most parameters a network may have: about 8 times Model 3c's
 #: 253,001. ``ModelConfig`` checks the count before anything is
-#: allocated. At the cap a model file is about 68 MB, and a one-epoch
+#: allocated. At the cap a model file is about 44 MB, and a one-epoch
 #: ``train`` of the widest such network (705 neurons, one layer, lookback
-#: 30) on a 521-sample record peaks at about 330 MB and takes about 10 s
+#: 30) on a 521-sample record peaks at about 302 MB and takes about 8 s
 #: on two x86-64 cores. The cap bounds the parameters only: a step's
 #: activations grow with neurons x layers x lookback, so a deep, narrow
 #: network under it can still need far more memory.
@@ -95,47 +95,17 @@ class _ModelFile:
     parameters: _Parameters
 
 
-def _json_pieces(value, pad: str = ""):
-    """Yield ``json.dumps(value, indent=2, sort_keys=True)`` in pieces.
-
-    ``value`` is a tree of JSON values, dataclasses and arrays, each
-    dataclass encoded as the mapping of its fields and each array as its
-    ``tolist()`` when it is reached. With ``indent`` set, ``json`` encodes
-    every number in pure Python; here each list of scalars goes through
-    the C encoder instead, with an item separator that starts each item
-    on its own line, so the text is the same. A list holds only scalars
-    or only containers, as ``ndarray.tolist`` makes them.
-    """
-    if dataclasses.is_dataclass(value):
-        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-    elif isinstance(value, np.ndarray):
-        value = value.tolist()
-    inner = pad + "  "
-    if isinstance(value, dict) and value:
-        ends, items = "{}", [(json.dumps(key) + ": ", value[key]) for key in sorted(value)]
-    elif isinstance(value, list) and value and not isinstance(value[0], (int, float)):
-        ends, items = "[]", [("", item) for item in value]
-    elif isinstance(value, list) and value:
-        scalars = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
-        yield "[\n" + inner + scalars + "\n" + pad + "]"
-        return
-    else:
-        yield json.dumps(value)
-        return
-    yield ends[0]
-    for n, (label, item) in enumerate(items):
-        yield (",\n" if n else "\n") + inner + label
-        yield from _json_pieces(item, inner)
-    yield "\n" + pad + ends[1]
-
-
 def save_model(path, model: TrainedModel) -> None:
-    """Write the model as a single versioned JSON document."""
+    """Write the model as a single versioned JSON document.
+
+    The document is one line with its keys sorted, each array as its
+    ``tolist()``; it is encoded in full before the file is opened.
+    """
     params = _Parameters(model.net.cells, model.net.W_out, float(model.net.b_out[0]))
-    tree = _ModelFile(FORMAT_VERSION, model.config, model.stats, params)
+    tree = dataclasses.asdict(_ModelFile(FORMAT_VERSION, model.config, model.stats, params))
+    text = json.dumps(tree, default=np.ndarray.tolist, sort_keys=True)
     with open(path, "w") as handle:
-        handle.writelines(_json_pieces(tree))
-        handle.write("\n")
+        handle.writelines((text, "\n"))
 
 
 def _integer(value) -> int:

@@ -981,6 +981,52 @@ class TestPredict:
         assert code == 2
         assert capsys.readouterr().err == f"error: {data}: series has 3 samples but lookback is 4\n"
 
+    @pytest.mark.parametrize(
+        "parameters, std_y, sample",
+        [({"W_out": [1.0] * 3, "b_out": 100.0}, 1e307, 3),
+         ({"W_out": [1e308] * 3, "b_out": 1.7e308}, 1.0, None)],
+        ids=["denormalize-overflows", "output-layer-overflows"],
+    )
+    def test_non_finite_prediction_names_the_file_and_writes_nothing(
+        self, tmp_path, capsys, parameters, std_y, sample
+    ):
+        # every field is finite and the file loads; only the predicted force is not
+        data = tmp_path / "data.csv"
+        config = write_config(tmp_path / "c.yaml", protocol={"points_per_cycle": 20})
+        assert main(["generate", "--config", config, "--out", str(data)]) == 0
+        model_path = save_seeded_model(tmp_path / "m.json")
+        doc = json.loads(model_path.read_text())
+        doc["parameters"].update(parameters)
+        doc["normalization"]["std_y"] = std_y
+        model_path.write_text(json.dumps(doc))
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", str(model_path), "--data", str(data),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        match = re.fullmatch(
+            rf"error: {re.escape(str(model_path))}: predicted force must be finite, "
+            r"got (-?inf|nan) at sample (\d+)\n",
+            err,
+        )
+        assert match, err
+        if sample is not None:
+            assert int(match[2]) == sample
+        assert not out.exists()
+
+    def test_network_of_two_inputs_per_step_names_the_file(self, tiny_cli_csv, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        net = lstm.init_network(3, 1, 2, rng=np.random.default_rng(0))
+        save_model(model_path, TrainedModel(net, ModelConfig("M", 3, 1, 4), IDENTITY_STATS))
+        out = tmp_path / "p.csv"
+        code = main(["predict", "--model", str(model_path), "--data", str(tiny_cli_csv),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {model_path}: the network takes 2 inputs per step, but a data CSV gives 1\n"
+        )
+        assert not out.exists()
+
     def test_prediction_csv_keeps_first_t(self, tmp_path):
         data = tmp_path / "late.csv"
         rows = [f"{5.0 + 0.5 * i!r},{math.sin(i)!r},{math.cos(i)!r}" for i in range(10)]

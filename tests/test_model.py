@@ -47,10 +47,9 @@ class TestRoundTrip:
         windows = np.random.default_rng(41).normal(size=(5, 6, 1))
         np.testing.assert_array_equal(loaded.predict(windows), trained.predict(windows))
 
-    def test_file_is_json_dumps_at_indent_2(self, tmp_path):
-        # save_model encodes each list of numbers with the C encoder; the text
-        # must still be json's own indent=2 output, for 2-wide input rows and
-        # for a name that needs escaping
+    def test_file_is_json_dumps_on_one_line(self, tmp_path):
+        # the text is json's own one-line output with sorted keys, for 2-wide
+        # input rows, extreme statistics and a name that needs escaping
         trained = TrainedModel(
             net=lstm.init_network(3, 2, 2, rng=np.random.default_rng(42)),
             config=ModelConfig('Model "3", ü', 3, 2, 4),
@@ -59,8 +58,7 @@ class TestRoundTrip:
         path = tmp_path / "model.json"
         model.save_model(path, trained)
         text = path.read_text()
-        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
-
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("layers, input_dim", [(1, 1), (1, 2), (3, 1), (3, 2)])
     def test_file_is_json_dumps_of_the_field_tree(self, tmp_path, layers, input_dim):
@@ -81,7 +79,20 @@ class TestRoundTrip:
         }
         path = tmp_path / "model.json"
         model.save_model(path, TrainedModel(net=net, config=config, stats=stats))
-        assert path.read_text() == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == json.dumps(tree, sort_keys=True) + "\n"
+
+    def test_indented_file_loads_the_same(self, trained, tmp_path):
+        # a file in the earlier layout, json's indent=2 output, still loads
+        path, indented = tmp_path / "model.json", tmp_path / "indented.json"
+        model.save_model(path, trained)
+        doc = json.loads(path.read_text())
+        indented.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        loaded = model.load_model(indented)
+        assert loaded.config == trained.config
+        assert loaded.stats == trained.stats
+        assert loaded.net.flat.tobytes() == trained.net.flat.tobytes()
+        windows = np.random.default_rng(44).normal(size=(5, 6, 1))
+        assert loaded.predict(windows).tobytes() == trained.predict(windows).tobytes()
 
 
 class TestPinnedFile:
@@ -89,9 +100,12 @@ class TestPinnedFile:
 
     Guards the JSON v1 bytes, the ``init_network`` draw order and the
     per-gate blocks against any change to how the engine stores a cell.
+    ``INDENTED_SHA256`` is the same document in the earlier indent=2
+    layout, so the one-line file still holds the document it pinned.
     """
 
-    SHA256 = "628fa18191f55c6764c3f839c61ec95b96f47c1ef4cac8918839b47431a6c94c"
+    SHA256 = "c04635e0c64f44083308252d8a639134d4d512bcb2d1d87f72e80d1057ead2a3"
+    INDENTED_SHA256 = "628fa18191f55c6764c3f839c61ec95b96f47c1ef4cac8918839b47431a6c94c"
     PREDICTIONS = [
         0.025438468191333174,
         0.008256822128007314,
@@ -109,6 +123,8 @@ class TestPinnedFile:
         path = tmp_path / "model.json"
         model.save_model(path, pinned)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SHA256
+        indented = json.dumps(json.loads(path.read_text()), indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(indented.encode()).hexdigest() == self.INDENTED_SHA256
         windows = np.random.default_rng(1).normal(size=(5, 4, 1))
         # PREDICTIONS are the network's normalized outputs; the model maps them
         # to force with its std_y and mean_y
