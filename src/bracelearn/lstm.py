@@ -17,9 +17,11 @@ Cell computation per step (sigma is the logistic function, * elementwise):
 
 The batched engine is the only way into the network: ``forward_batch``
 and ``backward_batch`` for training, the tapeless ``predict`` for
-inference, one kernel over feature-major (lookback, 4H, batch) gates
-that keeps a tape for BPTT only when asked, and refills a tape it is
-given instead of allocating one. ``grad_check`` drives the
+inference. One kernel steps every layer with one matrix product per
+step, ``w @ z`` of the cell's stacked weights ``w = [wx | wh | b]`` and
+a feature-major (in + H + 1, batch) operand ``z = [x; h; 1]``; it keeps
+a tape for BPTT only when asked, and refills a tape it is given instead
+of allocating one. ``grad_check`` drives the
 same three on a batch of one window. ``cell_forward`` evaluates the
 equations gate by gate for one cell and one step; it is the reference
 the engine is tested against.
@@ -58,10 +60,11 @@ class CellParams:
     equations above: input weights (hidden_size, input_size), recurrent
     weights (hidden_size, hidden_size), biases (hidden_size,).
 
-    Construction stacks them into the operands the batched engine uses,
-    gates ordered i, f, o, g along the first axis: ``wx`` (4H, input_size),
-    ``wh`` (4H, H) and ``b`` (4H,), all C-contiguous. Each gate field then
-    becomes a row block of them (``Wx_i`` is ``wx[:H]``).
+    Construction stacks them into the one operand the batched engine
+    uses, the C-contiguous (4H, input_size + H + 1) matrix ``w = [wx | wh | b]``
+    with gates ordered i, f, o, g along the first axis. ``wx``
+    (4H, input_size), ``wh`` (4H, H) and ``b`` (4H,) are column blocks of
+    ``w``, and each gate field a row block of those (``Wx_i`` is ``wx[:H]``).
     """
 
     Wx_i: np.ndarray
@@ -87,23 +90,24 @@ class CellParams:
             want = expected[name[:-2]]
             if block.shape != want:
                 raise ShapeError(f"{name} has shape {block.shape} but Wx_i implies {want}")
-        wx, wh, b = (
-            np.concatenate([blocks[f"{kind}_{gate}"] for gate in _GATE_ORDER])
-            for kind in expected
+        w = np.concatenate(
+            [np.stack([blocks[f"{kind}_{gate}"] for gate in _GATE_ORDER]).reshape(4 * hidden, -1)
+             for kind in expected],
+            axis=1,
         )
-        if not all(np.isfinite(a).all() for a in (wx, wh, b)):
+        if not np.isfinite(w).all():
             raise ValidationError("cell parameters contain non-finite entries")
-        self._point_at(wx, wh, b)
+        self._point_at(w)
 
-    def _point_at(self, wx: np.ndarray, wh: np.ndarray, b: np.ndarray) -> None:
-        """Make wx/wh/b the storage and every gate field a view of them."""
-        self.wx, self.wh, self.b = wx, wh, b
-        hid = wh.shape[1]
+    def _point_at(self, w: np.ndarray) -> None:
+        """Make ``w`` the storage and wx/wh/b and every gate field views of it."""
+        hid = w.shape[0] // 4
+        self.w, self.wx, self.wh, self.b = w, w[:, : -hid - 1], w[:, -hid - 1 : -1], w[:, -1]
         for k, gate in enumerate(_GATE_ORDER):
             rows = slice(k * hid, (k + 1) * hid)
-            setattr(self, f"Wx_{gate}", wx[rows])
-            setattr(self, f"Wh_{gate}", wh[rows])
-            setattr(self, f"b_{gate}", b[rows])
+            setattr(self, f"Wx_{gate}", self.wx[rows])
+            setattr(self, f"Wh_{gate}", self.wh[rows])
+            setattr(self, f"b_{gate}", self.b[rows])
 
     @property
     def hidden_size(self) -> int:
@@ -133,8 +137,8 @@ class NetworkParams:
     ``W_out`` has shape (hidden_size,) and ``b_out`` is a length-1 array
     holding the scalar output bias. Construction shallow-copies the cells
     (the caller's keep their own arrays) and packs every parameter into
-    one float64 vector, ``flat``: each cell's ``wx``, ``wh`` and ``b`` in
-    layer order, then ``W_out`` and ``b_out``. Every block, packed or
+    one float64 vector, ``flat``: each cell's ``w`` in layer order, then
+    ``W_out`` and ``b_out``. Every block, packed or
     per-gate, is a view of ``flat``, so one in-place update of ``flat``
     (an optimizer step) reaches them all. ``flat`` is the only parameter
     interface that training and ``grad_check`` use; a gradient container
@@ -167,15 +171,15 @@ class NetworkParams:
 
     def _blocks(self) -> list[np.ndarray]:
         """Every packed block in ``flat`` order."""
-        return [a for c in self.cells for a in (c.wx, c.wh, c.b)] + [self.W_out, self.b_out]
+        return [cell.w for cell in self.cells] + [self.W_out, self.b_out]
 
     def _point_at(self, flat: np.ndarray) -> None:
         """Copy the cells and make every block a view of its slice of ``flat``."""
         self.cells = [copy.copy(cell) for cell in self.cells]
         ends = np.cumsum([a.size for a in self._blocks()])
         views = [flat[e - a.size : e].reshape(a.shape) for a, e in zip(self._blocks(), ends)]
-        for k, cell in enumerate(self.cells):
-            cell._point_at(*views[3 * k : 3 * k + 3])
+        for cell, view in zip(self.cells, views):
+            cell._point_at(view)
         self.W_out, self.b_out = views[-2:]
         self.flat = flat
 
@@ -284,31 +288,35 @@ def cell_forward(params: CellParams, x_t: np.ndarray, prev: CellState) -> CellSt
 class _LayerTape:
     """One layer's activations, batch axis last: each gate block is contiguous.
 
-    Row 0 of ``c`` and ``h`` is the zero initial state, so row ``t`` is
-    the state step ``t`` starts from and row ``t + 1`` the one it ends in;
-    ``h[1:]`` is the layer's output sequence.
+    Row ``t`` of ``z`` is the operand ``[x_t; h_t; 1]`` of step ``t``'s
+    one product with the cell's ``w``: the layer's input at step ``t``,
+    the state it starts from, and a row of ones for the bias. Row 0 of
+    ``c`` and ``h`` is the zero initial state, so row ``t`` is the state
+    step ``t`` starts from and row ``t + 1`` the one it ends in; ``h`` is
+    the h rows of ``z``, and ``h[1:]`` the layer's output sequence.
     """
 
-    inputs: np.ndarray  # (T, in, B) what this layer consumed
+    z: np.ndarray       # (T + 1, in + H + 1, B); row T holds only h_T
     gates: np.ndarray   # (T, 4H, B) post-activation i, f, o, g
     c: np.ndarray       # (T + 1, H, B)
     tanh_c: np.ndarray  # (T, H, B)
-    h: np.ndarray       # (T + 1, H, B)
+    h: np.ndarray       # (T + 1, H, B) a view of z
 
 
 @dataclass
 class Tape:
     """Cached activations from one forward call, consumed by backward.
 
-    ``layers`` hold (T, feature, B) sequences, so ``layers[0].inputs``
+    ``layers`` hold (T, feature, B) sequences, so ``layers[0].gates``
     gives the window count and length, and ``layers[-1].h[-1]`` is the
     (H, B) top-layer hidden state the output head read.
 
     A tape is also the workspace of the batches after it: passed back to
     ``forward_batch`` it is refilled in place rather than allocated anew.
     Every array it hands out, the activations and ``backward_batch``'s
-    ``d_a``, ``d_h`` and gradient container alike, is a C-contiguous
-    prefix of a flat buffer that grows only when a batch needs more room,
+    ``d_a``, ``d_w``, ``d_h`` and gradient container alike, is a C-contiguous
+    prefix of a flat buffer, or a view of one (``h`` of ``z``), and a
+    buffer grows only when a batch needs more room,
     so a shorter final batch reuses the buffers with a fresh batch's
     shapes and strides. A tape holds only its latest batch: refilling it
     overwrites the activations, and each ``backward_batch`` overwrites the
@@ -347,17 +355,15 @@ def _run(
 ) -> np.ndarray:
     """Step the stack over a batch of windows; returns the predictions.
 
-    The windows are transposed to (T, in, B) and fed through the layers
-    in turn, every array a view of ``buffers`` (see ``_take``). With a
+    The windows are viewed as (T, in, B) and fed through the layers in
+    turn, every array a view of ``buffers`` (see ``_take``). With a
     tape every layer's activations are kept for backward_batch; without,
     the layers reuse one layer's buffers, so peak memory is one layer of
     the batch rather than the whole stack.
     """
     if tape is not None:
         tape.layers = []
-    batch, steps, in_size = x.shape
-    inp = _take(buffers, "inputs", (steps, in_size, batch))
-    inp[...] = x.transpose(1, 2, 0)
+    inp = x.transpose(1, 2, 0)
     for k, cell in enumerate(net.cells):
         inp = _layer(cell, k, inp, buffers, tape)
     return net.W_out @ inp[-1] + net.b_out[0]
@@ -368,30 +374,33 @@ def _layer(
 ) -> np.ndarray:
     """Step cell ``k`` over ``inp`` (T, in, B); returns its h sequence (T, H, B).
 
-    The input projection of every step is one batched GEMM into a
-    (T, 4H, B) buffer; step ``t`` adds ``wh @ h_prev`` to its slice and
-    overwrites it in place with the gate activations. With a tape, every
-    array is a buffer of layer ``k`` and the layer's activations are
-    appended to it. Without, all layers share slot 0 and c and tanh(c)
-    roll over two rows and one row; only h alternates between slots 0
-    and 1, because layer ``k`` reads layer ``k - 1``'s.
+    Step ``t`` copies ``x_t`` into ``z[t] = [x_t; h_t; 1]``, computes its
+    gate pre-activations as one GEMM ``w @ z[t]``, overwrites them in
+    place with the activations and writes ``h_{t+1}`` into the h rows of
+    ``z[t + 1]``. With a tape, every array is a buffer of layer ``k``,
+    the output sequence is the h rows of ``z[1:]``, and the layer's
+    activations are appended to the tape. Without, all layers share
+    slot 0 and z, the gates, c and tanh(c) roll over two rows or one;
+    each h is copied out to an output sequence that alternates between
+    slots 0 and 1, because layer ``k`` reads layer ``k - 1``'s.
     """
-    steps, _, batch = inp.shape
+    steps, n_in, batch = inp.shape
     hid = cell.hidden_size
-    # with a tape, c[t] and c[t + 1] below; without, two rolling rows
-    slot, h_slot, rows = (k, k, steps) if tape is not None else (0, k % 2, 1)
-    gates = np.matmul(cell.wx, inp, out=_take(buffers, ("gates", slot), (steps, 4 * hid, batch)))
-    gates += cell.b[:, None]
-    h = _take(buffers, ("h", h_slot), (steps + 1, hid, batch))
+    # with a tape, z[t] and z[t + 1] below are rows t and t + 1; without, two rolling rows
+    slot, rows = (k, steps) if tape is not None else (0, 1)
+    z = _take(buffers, ("z", slot), (rows + 1, n_in + hid + 1, batch))
+    gates = _take(buffers, ("gates", slot), (rows, 4 * hid, batch))
     c = _take(buffers, ("c", slot), (rows + 1, hid, batch))
     tanh_c = _take(buffers, ("tanh_c", slot), (rows, hid, batch))
-    h[0] = 0.0
+    h = z[1:, n_in:-1] if tape is not None else _take(buffers, ("h", k % 2), (steps, hid, batch))
+    z[0, n_in:-1] = 0.0
+    z[:, -1] = 1.0
     c[0] = 0.0
-    rec = _take(buffers, "rec", (4 * hid, batch))
     ig = _take(buffers, "ig", (hid, batch))
     for t in range(steps):
-        a = gates[t]
-        a += np.matmul(cell.wh, h[t], out=rec)
+        z_t = z[t % len(z)]
+        z_t[:n_in] = inp[t]
+        a = np.matmul(cell.w, z_t, out=gates[t % len(gates)])
         ifo, g = a[: 3 * hid], a[3 * hid :]
         _sigmoid(ifo, out=ifo)
         np.tanh(g, out=g)
@@ -400,10 +409,11 @@ def _layer(
         np.multiply(ifo[hid : 2 * hid], c[t % len(c)], out=c_t)
         c_t += np.multiply(ifo[:hid], g, out=ig)
         np.tanh(c_t, out=tc)
-        np.multiply(ifo[2 * hid :], tc, out=h[t + 1])
+        # with a tape, h[t] is this row of z and the copy is a no-op
+        h[t] = np.multiply(ifo[2 * hid :], tc, out=z[(t + 1) % len(z), n_in:-1])
     if tape is not None:
-        tape.layers.append(_LayerTape(inputs=inp, gates=gates, c=c, tanh_c=tanh_c, h=h))
-    return h[1:]
+        tape.layers.append(_LayerTape(z=z, gates=gates, c=c, tanh_c=tanh_c, h=z[:, n_in:-1]))
+    return h
 
 
 def forward_batch(
@@ -429,13 +439,16 @@ def backward_batch(
 
     ``d_preds`` seeds the prediction of each window; the returned
     container holds the sum over the batch of each window's gradient
-    (the caller scales the seed to get means). The container and the
-    backward buffers belong to ``tape``, so the next ``backward_batch`` on
-    it overwrites them.
+    (the caller scales the seed to get means). Each step adds its weight
+    gradient ``da @ z[t].T`` into the container through one scratch, so
+    a block's sum over steps and windows runs in one fixed order, with the
+    same bits at any BLAS thread count. The container and the backward
+    buffers belong to ``tape``, so the next ``backward_batch`` on it
+    overwrites them.
     """
     if tape.net is not net or len(tape.layers) != len(net.cells):
         raise ValidationError("tape does not belong to this network")
-    steps, _, batch = tape.layers[0].inputs.shape
+    steps, _, batch = tape.layers[0].gates.shape
     d_preds = np.asarray(d_preds, dtype=np.float64)
     if d_preds.shape != (batch,):
         raise ShapeError(f"d_preds must have shape {(batch,)}, got {d_preds.shape}")
@@ -457,6 +470,9 @@ def backward_batch(
         cell, grad, lt = net.cells[k], grads.cells[k], tape.layers[k]
         hid = cell.hidden_size
         d_a = _take(tape._buffers, "d_a", (steps, 4 * hid, batch))
+        d_w = _take(tape._buffers, "d_w", cell.w.shape)
+        z_bt = _take(tape._buffers, "z_bt", (batch, cell.w.shape[1]))
+        grad.w[...] = 0.0
         dh_carry = np.zeros((hid, batch))
         dc_carry = np.zeros((hid, batch))
         for t in range(steps - 1, -1, -1):
@@ -476,9 +492,8 @@ def backward_batch(
             da[3 * hid :] *= 1.0 - g * g
             np.matmul(cell.wh.T, da, out=dh_carry)
             np.multiply(dc, f, out=dc_carry)
-        grad.wx[...] = np.tensordot(d_a, lt.inputs, axes=([0, 2], [0, 2]))
-        grad.wh[...] = np.tensordot(d_a, lt.h[:-1], axes=([0, 2], [0, 2]))
-        d_a.sum(axis=(0, 2), out=grad.b)
+            z_bt[...] = lt.z[t].T  # a contiguous operand packs faster than a transposed view
+            grad.w += np.matmul(da, z_bt, out=d_w)
         if k > 0:  # the bottom layer's inputs are data, with no gradient to pass on
             d_h = _take(tape._buffers, ("d_h", k % 2), (steps, cell.input_size, batch))
             np.matmul(cell.wx.T, d_a, out=d_h)
@@ -490,11 +505,12 @@ def backward_batch(
 # --------------------------------------------------------------------------
 
 #: Windows per tapeless pass of ``predict``. A step touches about
-#: 14H float64 per window (its gate slice, the recurrent product, h, c,
-#: tanh(c) and i*g rows), 4.5 KB at H = 40, so 128 windows (0.6 MB) stay
-#: inside a 2 MiB per-core L2 cache. At 256 columns each ``wh @ h`` is
-#: large enough for OpenBLAS to split over its own threads, and two
-#: workers' BLAS threads then contend for the same cores.
+#: 12H float64 per window (its z row, the h rows of the next, its gate
+#: row, two c rows, tanh(c), i*g and the output h), 3.8 KB at H = 40, so
+#: 128 windows (0.5 MB) and ``w`` (0.1 MB) stay inside a 2 MiB per-core
+#: L2 cache. At 256 columns each ``w @ z[t]`` is large enough for
+#: OpenBLAS to split over its own threads, and two workers' BLAS threads
+#: then contend for the same cores.
 _PREDICT_CHUNK = 128
 
 
@@ -520,7 +536,9 @@ def predict(net: NetworkParams, windows: np.ndarray) -> np.ndarray:
     of a product with an edge kernel chosen by the column count.
 
     No tape is kept. Each worker reuses one set of buffers for all its
-    chunks and layers, about 1.5 times one (lookback, 4H, _PREDICT_CHUNK)
+    chunks and layers: two (lookback, H, _PREDICT_CHUNK) output sequences,
+    which layers alternate between, and one step's rows of z, the gates,
+    c and tanh(c). That is about 0.6 of one (lookback, 4H, _PREDICT_CHUNK)
     float64 gate buffer, so peak memory is that times the worker count.
     The caller's first chunk, the widest, sizes worker 0's buffers as
     ``_run`` takes them, and the other workers get copies of those before

@@ -98,9 +98,12 @@ def nrmse(pred, target) -> float:
 def clip_global_norm(grad: np.ndarray, max_norm: float) -> float:
     """Scale the gradient vector in place so its norm is <= max_norm.
 
-    Returns the pre-clip norm. ``max_norm`` of 0 disables clipping.
+    Returns the pre-clip norm. ``max_norm`` of 0 disables clipping. The
+    squares are summed by numpy's pairwise sum rather than a BLAS dot,
+    which splits its sum over threads, so the norm has the same bits at
+    any BLAS thread count.
     """
-    total = math.sqrt(float(np.dot(grad, grad)))
+    total = math.sqrt(float(np.sum(grad * grad)))
     if max_norm > 0 and total > max_norm:
         grad *= max_norm / total
     return total
@@ -110,12 +113,15 @@ class _AdamState:
     """First/second moment accumulators for one flat parameter vector.
 
     Steps with the module's ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``
-    and the config's learning rate.
+    and the config's learning rate, through two scratch vectors, so a step
+    allocates nothing.
     """
 
     def __init__(self, params: np.ndarray):
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self._num = np.empty_like(params)
+        self._den = np.empty_like(params)
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray, cfg: TrainConfig):
@@ -123,13 +129,19 @@ class _AdamState:
         self.t += 1
         correction1 = 1.0 - ADAM_BETA1**self.t
         correction2 = 1.0 - ADAM_BETA2**self.t
+        num, den = self._num, self._den
+        # params -= lr * (m / correction1) / (sqrt(v / correction2) + eps), op for op
         self.m *= ADAM_BETA1
-        self.m += (1.0 - ADAM_BETA1) * grad
+        self.m += np.multiply(1.0 - ADAM_BETA1, grad, out=num)
         self.v *= ADAM_BETA2
-        self.v += (1.0 - ADAM_BETA2) * grad * grad
-        params -= cfg.learning_rate * (self.m / correction1) / (
-            np.sqrt(self.v / correction2) + ADAM_EPS
-        )
+        np.multiply(1.0 - ADAM_BETA2, grad, out=num)
+        self.v += np.multiply(num, grad, out=num)
+        np.divide(self.v, correction2, out=den)
+        np.sqrt(den, out=den)
+        den += ADAM_EPS
+        np.divide(self.m, correction1, out=num)
+        num *= cfg.learning_rate
+        params -= np.divide(num, den, out=num)
 
 
 def evaluate_nrmse(net: NetworkParams, data: WindowedDataset, stats: NormStats) -> float:

@@ -848,6 +848,49 @@ class TestSweepCommand:
         assert_epochs_match_loss_csv(out_dir, "a")
 
 
+#: Runs generate, train, predict and sweep in ``argv[1]`` with the config
+#: ``argv[2]``. ``_cores`` is one so that the sweep trains inline at the
+#: caller's BLAS thread count: its workers would run BLAS on one thread.
+BLAS_THREADS_SCRIPT = """
+import sys
+from bracelearn import lstm
+from bracelearn.cli import main
+
+lstm._cores = lambda: 1
+out, config = sys.argv[1:]
+for argv in (
+    ["generate", "--config", config, "--out", f"{out}/data.csv"],
+    ["train", "--config", config, "--data", f"{out}/data.csv", "--model", "Model 3a",
+     "--out", f"{out}/model.json"],
+    ["predict", "--model", f"{out}/model.json", "--data", f"{out}/data.csv",
+     "--out", f"{out}/pred.csv"],
+    ["sweep", "--config", config, "--data", f"{out}/data.csv", "--out-dir", f"{out}/sweep"],
+):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_blas_thread_count_changes_no_byte(tmp_path):
+    # a 521-sample record, a seed-0 2-epoch Model 3a and a two-model sweep,
+    # each at one and at two OpenBLAS threads
+    grid = [{"name": c.name, "neurons": c.neurons, "hidden_layers": c.hidden_layers,
+             "lookback": c.lookback} for c in DEFAULT_GRID if c.name in ("Model 3a", "Model 2")]
+    config = write_config(tmp_path / "c.yaml", protocol={"points_per_cycle": 20},
+                          training={"max_epochs": 2, "seed": 0}, grid=grid)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        out.mkdir()
+        env = {**package_environ(), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT, str(out), config],
+                              env=env, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        outputs.append({path.relative_to(out): data for path, data in snapshot(out).items()})
+    assert len(outputs[0]) == 13  # 4 files, the sweep directory and its 8 files
+    assert outputs[0] == outputs[1]
+
+
 class TestSameFile:
     """No command may overwrite its own input, or write two outputs to one file."""
 

@@ -197,7 +197,7 @@ class TestForward:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 2 * gate_bytes * workers, workers
+            assert peak < gate_bytes * workers, workers
 
 
 class TestPredictThreads:
@@ -498,7 +498,7 @@ class TestNetworkParams:
         for params in (net, grads, *clones):
             blocks = [params.W_out, params.b_out]
             for cell in params.cells:
-                blocks += [getattr(cell, f.name) for f in dataclasses.fields(cell)]
+                blocks += [cell.w] + [getattr(cell, f.name) for f in dataclasses.fields(cell)]
             for block in blocks:
                 assert np.shares_memory(block, params.flat)
         assert not np.shares_memory(grads.flat, net.flat)
