@@ -355,65 +355,55 @@ def _run(
 ) -> np.ndarray:
     """Step the stack over a batch of windows; returns the predictions.
 
-    The windows are viewed as (T, in, B) and fed through the layers in
-    turn, every array a view of ``buffers`` (see ``_take``). With a
-    tape every layer's activations are kept for backward_batch; without,
-    the layers reuse one layer's buffers, so peak memory is one layer of
-    the batch rather than the whole stack.
+    The loop is step-major: at step ``t`` each layer in turn copies its
+    input into ``z[t] = [x_t; h_t; 1]``, computes its gate
+    pre-activations as one GEMM ``w @ z[t]``, overwrites them in place
+    with the activations and writes ``h_{t+1}`` into the h rows of
+    ``z[t + 1]``. Layer 0's input is the window's ``x_t``, and layer
+    ``k``'s the h rows that layer ``k - 1`` has just written. Every array
+    is a view of ``buffers`` (see ``_take``). With a tape, each layer has
+    its own buffers, one row per step, and its activations go on the tape
+    for backward_batch. Without, each layer keeps one row of z and one of
+    c, which every step overwrites in place (the GEMM has read ``z[t]``
+    before ``h_{t+1}`` is written into it), and all layers share one row
+    of gates and one of tanh(c), so peak memory does not grow with the
+    lookback. Both passes share one i*g row.
     """
-    if tape is not None:
-        tape.layers = []
-    inp = x.transpose(1, 2, 0)
+    batch, steps, _ = x.shape
+    widest = max(cell.hidden_size for cell in net.cells)
+    # with a tape, a row per step of the gates and tanh(c) and per state of z and c; without, one
+    rows, states = (steps, steps + 1) if tape is not None else (1, 1)
+    ig = _take(buffers, "ig", (widest, batch))
+    layers = []
     for k, cell in enumerate(net.cells):
-        inp = _layer(cell, k, inp, buffers, tape)
-    return net.W_out @ inp[-1] + net.b_out[0]
-
-
-def _layer(
-    cell: CellParams, k: int, inp: np.ndarray, buffers: dict[object, np.ndarray], tape: Tape | None
-) -> np.ndarray:
-    """Step cell ``k`` over ``inp`` (T, in, B); returns its h sequence (T, H, B).
-
-    Step ``t`` copies ``x_t`` into ``z[t] = [x_t; h_t; 1]``, computes its
-    gate pre-activations as one GEMM ``w @ z[t]``, overwrites them in
-    place with the activations and writes ``h_{t+1}`` into the h rows of
-    ``z[t + 1]``. With a tape, every array is a buffer of layer ``k``,
-    the output sequence is the h rows of ``z[1:]``, and the layer's
-    activations are appended to the tape. Without, all layers share
-    slot 0 and z, the gates, c and tanh(c) roll over two rows or one;
-    each h is copied out to an output sequence that alternates between
-    slots 0 and 1, because layer ``k`` reads layer ``k - 1``'s.
-    """
-    steps, n_in, batch = inp.shape
-    hid = cell.hidden_size
-    # with a tape, z[t] and z[t + 1] below are rows t and t + 1; without, two rolling rows
-    slot, rows = (k, steps) if tape is not None else (0, 1)
-    z = _take(buffers, ("z", slot), (rows + 1, n_in + hid + 1, batch))
-    gates = _take(buffers, ("gates", slot), (rows, 4 * hid, batch))
-    c = _take(buffers, ("c", slot), (rows + 1, hid, batch))
-    tanh_c = _take(buffers, ("tanh_c", slot), (rows, hid, batch))
-    h = z[1:, n_in:-1] if tape is not None else _take(buffers, ("h", k % 2), (steps, hid, batch))
-    z[0, n_in:-1] = 0.0
-    z[:, -1] = 1.0
-    c[0] = 0.0
-    ig = _take(buffers, "ig", (hid, batch))
-    for t in range(steps):
-        z_t = z[t % len(z)]
-        z_t[:n_in] = inp[t]
-        a = np.matmul(cell.w, z_t, out=gates[t % len(gates)])
-        ifo, g = a[: 3 * hid], a[3 * hid :]
-        _sigmoid(ifo, out=ifo)
-        np.tanh(g, out=g)
-        c_t = c[(t + 1) % len(c)]
-        tc = tanh_c[t % len(tanh_c)]
-        np.multiply(ifo[hid : 2 * hid], c[t % len(c)], out=c_t)
-        c_t += np.multiply(ifo[:hid], g, out=ig)
-        np.tanh(c_t, out=tc)
-        # with a tape, h[t] is this row of z and the copy is a no-op
-        h[t] = np.multiply(ifo[2 * hid :], tc, out=z[(t + 1) % len(z), n_in:-1])
-    if tape is not None:
-        tape.layers.append(_LayerTape(z=z, gates=gates, c=c, tanh_c=tanh_c, h=z[:, n_in:-1]))
-    return h
+        n_in, hid = cell.input_size, cell.hidden_size
+        # with a tape, layer k's own buffers; without, gates and tanh(c) shared by all layers
+        slot, width = (k, hid) if tape is not None else (0, widest)
+        gates = _take(buffers, ("gates", slot), (rows, 4 * width, batch))[:, : 4 * hid]
+        tanh_c = _take(buffers, ("tanh_c", slot), (rows, width, batch))[:, :hid]
+        z = _take(buffers, ("z", k), (states, n_in + hid + 1, batch))
+        c = _take(buffers, ("c", k), (states, hid, batch))
+        z[0, n_in:-1] = 0.0
+        z[:, -1] = 1.0
+        c[0] = 0.0
+        layers.append((cell.w, n_in, hid, z, gates, c, tanh_c, ig[:hid]))
+        if tape is not None:  # replaces the tape's layers from k on
+            tape.layers[k:] = [_LayerTape(z=z, gates=gates, c=c, tanh_c=tanh_c, h=z[:, n_in:-1])]
+    for t, h in enumerate(x.transpose(1, 2, 0)):  # h: layer 0's input, x_t
+        for w, n_in, hid, z, gates, c, tanh_c, i_g in layers:
+            z_t = z[t % len(z)]
+            z_t[:n_in] = h
+            a = np.matmul(w, z_t, out=gates[t % len(gates)])
+            ifo, g = a[: 3 * hid], a[3 * hid :]
+            _sigmoid(ifo, out=ifo)
+            np.tanh(g, out=g)
+            c_t = c[(t + 1) % len(c)]
+            tc = tanh_c[t % len(tanh_c)]
+            np.multiply(ifo[hid : 2 * hid], c[t % len(c)], out=c_t)
+            c_t += np.multiply(ifo[:hid], g, out=i_g)
+            np.tanh(c_t, out=tc)
+            h = np.multiply(ifo[2 * hid :], tc, out=z[(t + 1) % len(z), n_in:-1])
+    return net.W_out @ h + net.b_out[0]
 
 
 def forward_batch(
@@ -504,14 +494,15 @@ def backward_batch(
 # Inference and the gradient check
 # --------------------------------------------------------------------------
 
-#: Windows per tapeless pass of ``predict``. A step touches about
-#: 12H float64 per window (its z row, the h rows of the next, its gate
-#: row, two c rows, tanh(c), i*g and the output h), 3.8 KB at H = 40, so
-#: 128 windows (0.5 MB) and ``w`` (0.1 MB) stay inside a 2 MiB per-core
-#: L2 cache. At 256 columns each ``w @ z[t]`` is large enough for
-#: OpenBLAS to split over its own threads, and two workers' BLAS threads
-#: then contend for the same cores.
-_PREDICT_CHUNK = 128
+#: Windows per tapeless pass of ``predict``. Each layer step costs a
+#: dozen numpy calls whatever the width, and each call holds the GIL
+#: while it dispatches, so a wider chunk spends less of it per window.
+#: Two workers on OpenBLAS's default thread count contend for the cores
+#: at 128 windows as at 256 (Model 3a over 5172 windows on 2 CPUs,
+#: medians of 9 calls: 0.91-1.39 s at 128 and 1.05-1.16 s at 256,
+#: against 0.67 s and 0.56 s on one BLAS thread). 256 is a multiple of
+#: 8 (see ``predict``).
+_PREDICT_CHUNK = 256
 
 
 def _cores() -> int:
@@ -530,48 +521,56 @@ def predict(net: NetworkParams, windows: np.ndarray) -> np.ndarray:
     ``ThreadPoolExecutor`` runs the others, so a predict of one chunk
     starts no thread and imports no pool. The per-step numpy calls and
     matrix products release the GIL, so the workers run on separate
-    cores. A chunk is computed the same way whichever worker takes it, so
-    the worker count changes no output bit. The chunk size can change the
-    last bits of a short final chunk: BLAS computes the last few columns
-    of a product with an edge kernel chosen by the column count.
+    cores. A short last chunk runs as a zero-padded copy, padded up to a
+    multiple of 8 windows (but no wider than a full chunk), and the
+    padded outputs are dropped. OpenBLAS computes a product's columns
+    with kernels chosen by the column count, and their bits agree column
+    for column across widths that are multiples of 8, at any BLAS thread
+    count while the inner dimension in + H + 1 is small (see the README).
+    So with a chunk size that is a multiple of 8, a window's prediction
+    has the same bits whichever chunk, position, worker or thread count
+    computes it, and a caller that predicts any subset of windows gets
+    the bits of the whole record's predict.
 
     No tape is kept. Each worker reuses one set of buffers for all its
-    chunks and layers: two (lookback, H, _PREDICT_CHUNK) output sequences,
-    which layers alternate between, and one step's rows of z, the gates,
-    c and tanh(c). That is about 0.6 of one (lookback, 4H, _PREDICT_CHUNK)
-    float64 gate buffer, so peak memory is that times the worker count.
-    The caller's first chunk, the widest, sizes worker 0's buffers as
-    ``_run`` takes them, and the other workers get copies of those before
-    the pool starts, so every buffer is allocated on the calling thread
-    and no later chunk grows one. Workers run in copies of the caller's
-    context, so the caller's ``np.errstate`` holds in them; an exception
-    in any worker, the caller included, is raised in the caller once
-    every thread has joined.
+    chunks: per layer one row of z and one of c, and one step's row of
+    the gates, tanh(c) and i*g shared by all layers, so its memory grows
+    with the depth and the chunk size but not with the lookback. The
+    caller's first chunk, the widest, sizes worker 0's buffers as ``_run``
+    takes them, and the other workers get copies of those before the
+    pool starts, so every buffer, and the padded copy, is allocated on
+    the calling thread and no later chunk grows one. Workers run in
+    copies of the caller's context, so the caller's ``np.errstate``
+    holds in them; an exception in any worker, the caller included, is
+    raised in the caller once every thread has joined.
     """
     x = _windows(net, windows)
     out = np.empty(len(x))
-    starts = range(0, len(x), _PREDICT_CHUNK)
-    workers = min(_cores(), len(starts)) or 1
+    chunks = [(s, x[s : s + _PREDICT_CHUNK]) for s in range(0, len(x), _PREDICT_CHUNK)]
+    last_start, last = chunks[-1] if chunks else (0, x)
+    pad = min(-len(last) % 8, _PREDICT_CHUNK - len(last))
+    if pad:
+        chunks[-1] = (last_start, np.concatenate([last, np.zeros((pad, *x.shape[1:]))]))
+    workers = min(_cores(), len(chunks)) or 1
     buffers = [{}]
 
-    def run(k: int, chunks: range) -> None:
-        for start in chunks:
-            chunk = x[start : start + _PREDICT_CHUNK]
-            out[start : start + len(chunk)] = _run(net, chunk, buffers[k])
+    def run(k: int, pieces: list[tuple[int, np.ndarray]]) -> None:
+        for start, chunk in pieces:
+            out[start : start + len(chunk)] = _run(net, chunk, buffers[k])[: len(out) - start]
 
-    run(0, starts[:1])  # the widest chunk: its buffers fit every chunk
+    run(0, chunks[:1])  # the widest chunk: its buffers fit every chunk
     buffers += [{k: np.empty_like(b) for k, b in buffers[0].items()} for _ in range(workers - 1)]
     if workers == 1:
-        run(0, starts[1:])
+        run(0, chunks[1:])
         return out
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers - 1) as pool:
         futures = [
-            pool.submit(contextvars.copy_context().run, run, k, starts[k::workers])
+            pool.submit(contextvars.copy_context().run, run, k, chunks[k::workers])
             for k in range(1, workers)
         ]
-        run(0, starts[workers::workers])
+        run(0, chunks[workers::workers])
     for future in futures:
         future.result()
     return out

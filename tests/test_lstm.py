@@ -1,6 +1,8 @@
 """Cell equations, the stacked forward pass, and BPTT gradient exactness."""
 
+import json
 import math
+import subprocess
 import sys
 import threading
 import time
@@ -12,6 +14,7 @@ import pytest
 from bracelearn import lstm
 from bracelearn.errors import ShapeError, ValidationError
 from bracelearn.lstm import CellParams, CellState, NetworkParams
+from conftest import package_environ
 
 
 def scalar_cell(**overrides) -> CellParams:
@@ -24,6 +27,16 @@ def scalar_cell(**overrides) -> CellParams:
     for key, value in overrides.items():
         blocks[key] = np.asarray(value, dtype=float).reshape(blocks[key].shape)
     return CellParams(**blocks)
+
+
+def padded_forward_batch(net, windows) -> np.ndarray:
+    """``forward_batch`` of ``windows`` zero-padded to a multiple of 8, first rows only.
+
+    ``predict`` runs a short chunk that way, so that every product it
+    computes is a multiple of 8 columns wide.
+    """
+    padded = np.concatenate([windows, np.zeros((-len(windows) % 8, *windows.shape[1:]))])
+    return lstm.forward_batch(net, padded)[0][: len(windows)]
 
 
 class TestCellForward:
@@ -167,37 +180,44 @@ class TestForward:
 
     def test_predict_chunks_equal_forward_batch(self, monkeypatch):
         # the tapeless pass runs the same arithmetic as the taped one, on any
-        # number of workers; the last of the five chunks is short
-        monkeypatch.setattr(lstm, "_PREDICT_CHUNK", 5)
+        # number of workers; the last of the three chunks is short, and runs
+        # zero-padded to a multiple of 8 windows
+        monkeypatch.setattr(lstm, "_PREDICT_CHUNK", 24)
         rng = np.random.default_rng(21)
         net = lstm.init_network(5, 3, 1, rng=rng)
-        windows = rng.normal(size=(23, 7, 1))
+        windows = rng.normal(size=(50, 7, 1))
         expected = np.concatenate(
-            [lstm.forward_batch(net, windows[s : s + 5])[0] for s in range(0, 23, 5)]
+            [padded_forward_batch(net, windows[s : s + 24]) for s in range(0, 50, 24)]
         )
         for workers in (1, 2, 3):
             monkeypatch.setattr(lstm, "_cores", lambda: workers)
             np.testing.assert_array_equal(lstm.predict(net, windows), expected)
 
     def test_predict_memory_is_one_layer(self, monkeypatch):
-        # one layer of one chunk per worker
+        # a few rows per layer of one chunk per worker: the tapeless pass keeps
+        # no sequence, so a worker's peak does not grow with the lookback
         import tracemalloc
 
         monkeypatch.setattr(lstm, "_PREDICT_CHUNK", 64)
         rng = np.random.default_rng(22)
         net = lstm.init_network(8, 4, 1, rng=rng)
-        steps, chunk = 30, 64
-        windows = rng.normal(size=(3 * chunk, steps, 1))
-        gate_bytes = steps * chunk * 4 * net.hidden_size * 8  # one (T, 4H, B) buffer
+        chunk = 64
         for workers in (1, 2):
             monkeypatch.setattr(lstm, "_cores", lambda: workers)
-            tracemalloc.start()
-            try:
-                lstm.predict(net, windows)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < gate_bytes * workers, workers
+            lstm.predict(net, rng.normal(size=(3 * chunk, 5, 1)))  # the pool's imports
+            peaks = []
+            for steps in (10, 40):
+                windows = rng.normal(size=(3 * chunk, steps, 1))
+                gate_bytes = steps * chunk * 4 * net.hidden_size * 8  # one (T, 4H, B) buffer
+                tracemalloc.start()
+                try:
+                    lstm.predict(net, windows)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < gate_bytes * workers, (workers, steps)
+                peaks.append(peak)
+            assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0], (workers, peaks)
 
 
 class TestPredictThreads:
@@ -303,6 +323,59 @@ class TestPredictThreads:
         assert lstm.predict(net, np.zeros((0, 5, 1))).shape == (0,)
         # grad_check predicts one window per parameter
         assert lstm.grad_check(net, rng.normal(size=(5, 1)), 0.3) < 1e-5
+
+
+SLICE_SCRIPT = """
+import hashlib, json
+import numpy as np
+from bracelearn import lstm
+from bracelearn.lstm import NetworkParams
+
+rng = np.random.default_rng(40)
+record = rng.normal(size=1009)
+windows = np.lib.stride_tricks.sliding_window_view(record, 10)[:, :, None]  # 1000 windows
+mixed = [lstm.init_network(h, 1, i, rng=rng).cells[0] for h, i in ((12, 1), (7, 12), (20, 7))]
+nets = {
+    "40x2": lstm.init_network(40, 2, 1, rng=rng),
+    "5x4": lstm.init_network(5, 4, 1, rng=rng),
+    "12-7-20": NetworkParams(cells=mixed, W_out=rng.normal(size=20), b_out=np.zeros(1)),
+}
+result = {"slices": 0, "windows": 0, "slices_differ": 0, "windows_differ": 0, "full": {}}
+for name, net in nets.items():
+    for workers in (1, 2, 3):
+        lstm._cores = lambda: workers
+        full = lstm.predict(net, windows)
+        result["full"][f"{name}/{workers}"] = hashlib.sha256(full.tobytes()).hexdigest()
+        for _ in range(20):
+            a = int(rng.integers(0, 999))
+            b = int(rng.integers(a + 1, min(a + 600, 1000) + 1))
+            result["slices"] += 1
+            part = lstm.predict(net, windows[a:b])
+            result["slices_differ"] += full[a:b].tobytes() != part.tobytes()
+        for w in rng.choice(1000, size=8, replace=False):
+            result["windows"] += 1
+            part = lstm.predict(net, windows[w : w + 1])
+            result["windows_differ"] += full[w : w + 1].tobytes() != part.tobytes()
+print(json.dumps(result))
+"""
+
+
+def test_a_window_predicts_the_same_bits_wherever_it_sits():
+    # random slices and single windows of a 1000-window record, predicted
+    # alone, give the full record's bits: three shapes (one of mixed widths),
+    # 1, 2 and 3 workers, at one and at two OpenBLAS threads
+    results = []
+    for threads in ("1", "2"):
+        env = {**package_environ(), "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", SLICE_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        results.append(json.loads(done.stdout))
+    for result in results:
+        assert (result["slices"], result["windows"]) == (180, 72)
+        assert (result["slices_differ"], result["windows_differ"]) == (0, 0), result
+        assert len(set(result["full"].values())) == 3  # one prediction per shape
+    assert results[0]["full"] == results[1]["full"]
 
 
 class TestBackward:
@@ -424,7 +497,7 @@ class TestEngineShapes:
     def test_predict_forward_batch_and_cell_forward_agree(self, case):
         net, windows, _ = case
         batched, _ = lstm.forward_batch(net, windows)
-        np.testing.assert_array_equal(lstm.predict(net, windows), batched)
+        np.testing.assert_array_equal(lstm.predict(net, windows), padded_forward_batch(net, windows))
         for w, window in enumerate(windows):
             seq = list(window)
             for cell in net.cells:
