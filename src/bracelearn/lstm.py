@@ -1,7 +1,7 @@
 """Stacked LSTM regression network with exact backpropagation through time.
 
 Everything is plain numpy in double precision. A network is a stack of
-LSTM cells (one per hidden layer, all the same width) topped by a single
+LSTM cells (one per hidden layer) topped by a single
 linear output unit that reads the top layer's hidden state at the final
 step of the window. Windows are independent samples: both recurrent
 states start at zero for every window.
@@ -21,7 +21,8 @@ inference. One kernel steps every layer with one matrix product per
 step, ``w @ z`` of the cell's stacked weights ``w = [wx | wh | b]`` and
 a feature-major (in + H + 1, batch) operand ``z = [x; h; 1]``; it keeps
 a tape for BPTT only when asked, and refills a tape it is given instead
-of allocating one. ``grad_check`` drives the
+of allocating one. ``backward_batch`` walks the same steps in reverse,
+every layer from the top down at each step. ``grad_check`` drives the
 same three on a batch of one window. ``cell_forward`` evaluates the
 equations gate by gate for one cell and one step; it is the reference
 the engine is tested against.
@@ -314,13 +315,14 @@ class Tape:
     A tape is also the workspace of the batches after it: passed back to
     ``forward_batch`` it is refilled in place rather than allocated anew.
     Every array it hands out, the activations and ``backward_batch``'s
-    ``d_a``, ``d_w``, ``d_h`` and gradient container alike, is a C-contiguous
-    prefix of a flat buffer, or a view of one (``h`` of ``z``), and a
-    buffer grows only when a batch needs more room,
-    so a shorter final batch reuses the buffers with a fresh batch's
-    shapes and strides. A tape holds only its latest batch: refilling it
-    overwrites the activations, and each ``backward_batch`` overwrites the
-    gradients the previous one returned.
+    scratch and gradient container alike, is a C-contiguous prefix of a
+    flat buffer, or a view of one (``h`` of ``z``), and a buffer grows
+    only when a batch needs more room, so a shorter final batch reuses
+    the buffers with a fresh batch's shapes and strides. Only the
+    activations have a row per step; backward's scratch holds one step.
+    A tape holds only its latest batch: refilling it overwrites the
+    activations, and each ``backward_batch`` overwrites the gradients the
+    previous one returned.
     """
 
     net: NetworkParams
@@ -429,12 +431,23 @@ def backward_batch(
 
     ``d_preds`` seeds the prediction of each window; the returned
     container holds the sum over the batch of each window's gradient
-    (the caller scales the seed to get means). Each step adds its weight
-    gradient ``da @ z[t].T`` into the container through one scratch, so
-    a block's sum over steps and windows runs in one fixed order, with the
-    same bits at any BLAS thread count. The container and the backward
-    buffers belong to ``tape``, so the next ``backward_batch`` on it
-    overwrites them.
+    (the caller scales the seed to get means).
+
+    The loop is the mirror of ``_run``'s: step-major, from the last step
+    back to the first, and at each step every layer from the top down.
+    Each layer keeps two (H, B) carries, the gradients of the loss with
+    respect to its h and c, which its step ``t + 1`` leaves for step
+    ``t``. ``W_out * d_preds`` seeds the top layer's h carry; at each step
+    a layer adds its input gradient ``wx.T @ da`` into the h carry of the
+    layer below, which then runs the same step, and the bottom layer's
+    inputs are data, with nothing to pass on. Each step adds its weight
+    gradient ``da @ z[t].T`` into the container through one scratch, so a
+    block's sum over steps and windows runs in one fixed order, with the
+    same bits at any BLAS thread count. The carries are the only scratch
+    each layer has of its own: the layers share one step's gate gradients
+    ``da``, weight-gradient scratch and ``z[t].T``, and none of it grows
+    with the lookback. The container and the scratch belong to ``tape``,
+    so the next ``backward_batch`` on it overwrites them.
     """
     if tape.net is not net or len(tape.layers) != len(net.cells):
         raise ValidationError("tape does not belong to this network")
@@ -449,30 +462,27 @@ def backward_batch(
     np.matmul(tape.layers[-1].h[-1], d_preds, out=grads.W_out)
     grads.b_out[0] = d_preds.sum()
 
-    # gradient of the loss with respect to each step's h, from the layer above;
-    # layer k reads it from d_h buffer (k + 1) % 2 and writes layer k - 1's into k % 2
-    top = net.num_layers
-    d_h = _take(tape._buffers, ("d_h", top % 2), (steps, net.hidden_size, batch))
-    d_h[:-1] = 0.0
-    np.multiply(net.W_out[:, None], d_preds[None, :], out=d_h[-1])
-
-    for k in reversed(range(top)):
-        cell, grad, lt = net.cells[k], grads.cells[k], tape.layers[k]
-        hid = cell.hidden_size
-        d_a = _take(tape._buffers, "d_a", (steps, 4 * hid, batch))
+    layers, below = [], None  # below: the h carry of the layer underneath
+    for k, (cell, grad, lt) in enumerate(zip(net.cells, grads.cells, tape.layers)):
+        dh, dc = carries = _take(tape._buffers, ("carries", k), (2, cell.hidden_size, batch))
+        carries[...] = 0.0
+        grad.w[...] = 0.0
+        # one step's scratch, used within the step, so the layers share each buffer
+        # (a layer taken before a wider one grew it keeps the old one for this call)
+        da = _take(tape._buffers, "d_a", (4 * cell.hidden_size, batch))
         d_w = _take(tape._buffers, "d_w", cell.w.shape)
         z_bt = _take(tape._buffers, "z_bt", (batch, cell.w.shape[1]))
-        grad.w[...] = 0.0
-        dh_carry = np.zeros((hid, batch))
-        dc_carry = np.zeros((hid, batch))
-        for t in range(steps - 1, -1, -1):
+        layers.append((cell, lt, grad.w, da, d_w, z_bt, dh, dc, below))
+        below = dh
+    np.multiply(net.W_out[:, None], d_preds[None, :], out=dh)  # the top layer's h carry
+
+    for t in range(steps - 1, -1, -1):
+        for cell, lt, grad_w, da, d_w, z_bt, dh, dc, below in reversed(layers):
+            hid = cell.hidden_size
             ifo, g = lt.gates[t, : 3 * hid], lt.gates[t, 3 * hid :]
             i, f, o = ifo[:hid], ifo[hid : 2 * hid], ifo[2 * hid :]
             tc = lt.tanh_c[t]
-            da = d_a[t]
-            dh = d_h[t]
-            dh += dh_carry
-            dc = dh * o * (1.0 - tc * tc) + dc_carry
+            dc += dh * o * (1.0 - tc * tc)
             np.multiply(dc, g, out=da[:hid])
             np.multiply(dc, lt.c[t], out=da[hid : 2 * hid])
             np.multiply(dh, tc, out=da[2 * hid : 3 * hid])
@@ -480,13 +490,12 @@ def backward_batch(
             da[: 3 * hid] *= 1.0 - ifo
             np.multiply(dc, i, out=da[3 * hid :])
             da[3 * hid :] *= 1.0 - g * g
-            np.matmul(cell.wh.T, da, out=dh_carry)
-            np.multiply(dc, f, out=dc_carry)
+            np.matmul(cell.wh.T, da, out=dh)
+            dc *= f
+            if below is not None:
+                below += cell.wx.T @ da
             z_bt[...] = lt.z[t].T  # a contiguous operand packs faster than a transposed view
-            grad.w += np.matmul(da, z_bt, out=d_w)
-        if k > 0:  # the bottom layer's inputs are data, with no gradient to pass on
-            d_h = _take(tape._buffers, ("d_h", k % 2), (steps, cell.input_size, batch))
-            np.matmul(cell.wx.T, d_a, out=d_h)
+            grad_w += np.matmul(da, z_bt, out=d_w)
     return grads
 
 

@@ -378,6 +378,30 @@ def test_a_window_predicts_the_same_bits_wherever_it_sits():
     assert results[0]["full"] == results[1]["full"]
 
 
+BACKWARD_PIN_SCRIPT = """
+import hashlib
+import numpy as np
+from bracelearn import lstm
+from bracelearn.lstm import NetworkParams
+
+rng = np.random.default_rng(41)
+mixed = [lstm.init_network(h, 1, i, rng=rng).cells[0] for h, i in ((12, 1), (7, 12), (20, 7))]
+nets = [
+    lstm.init_network(40, 5, 1, rng=rng),
+    lstm.init_network(5, 3, 2, rng=rng),
+    NetworkParams(cells=mixed, W_out=rng.normal(size=20), b_out=np.zeros(1)),
+]
+digest = hashlib.sha256()
+for net in nets:
+    tape = None
+    for batch in (64, 17, 64):
+        _, tape = lstm.forward_batch(net, rng.normal(size=(batch, 30, net.input_dim)), tape)
+        digest.update(lstm.backward_batch(net, tape, rng.normal(size=batch)).flat.tobytes())
+print(digest.hexdigest())
+"""
+BACKWARD_SHA256 = "adc93dce7c01a725c8dbb5e3c58a8185e5916fd5c635bd7b9beb4b1416622de1"
+
+
 class TestBackward:
     def test_zero_seed_gives_zero_gradients(self):
         rng = np.random.default_rng(8)
@@ -427,6 +451,18 @@ class TestBackward:
         _, tape = lstm.forward_batch(net_a, windows)
         with pytest.raises(ValidationError, match="tape"):
             lstm.forward_batch(net_b, windows, tape)
+
+    def test_gradients_are_pinned(self):
+        # the SHA-256 of the gradients of three shapes, one of mixed widths,
+        # at three batch sizes on one refilled tape, recorded once: any
+        # reordering of BPTT's arithmetic that changes a bit fails, at one
+        # and at two OpenBLAS threads
+        for threads in ("1", "2"):
+            env = {**package_environ(), "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", BACKWARD_PIN_SCRIPT], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.strip() == BACKWARD_SHA256, threads
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -480,17 +516,26 @@ class TestGradCheck:
 
 class TestEngineShapes:
     """Hidden size, batch, lookback and input size all differ, so a kernel
-    that swapped two of these axes would fail rather than broadcast."""
+    that swapped two of these axes would fail rather than broadcast. The
+    second case widens and then narrows the stack, so each upper layer's
+    input width differs from its own."""
 
-    HIDDEN, BATCH, STEPS, INPUT = 5, 7, 4, 2
+    BATCH, STEPS, INPUT = 7, 4, 2
 
-    @pytest.fixture()
-    def case(self):
+    @pytest.fixture(params=["5x3", "3-8-5"])
+    def case(self, request):
         # central differences carry about 1e-11 absolute round-off here, so
         # seeds whose smallest gradients near 1e-8 read above 1e-5 relative
-        # are no test of the engine; this one's stay clear of that floor
-        rng = np.random.default_rng(25)
-        net = lstm.init_network(self.HIDDEN, 3, self.INPUT, rng=rng)
+        # are no test of the engine; these stay clear of that floor
+        if request.param == "5x3":
+            rng = np.random.default_rng(25)
+            net = lstm.init_network(5, 3, self.INPUT, rng=rng)
+        else:
+            rng = np.random.default_rng(31)
+            widths = ((3, self.INPUT), (8, 3), (5, 8))
+            nets = [lstm.init_network(h, 1, i, rng=rng) for h, i in widths]
+            net = NetworkParams(cells=[n.cells[0] for n in nets], W_out=nets[-1].W_out,
+                                b_out=np.zeros(1))
         windows = rng.normal(size=(self.BATCH, self.STEPS, self.INPUT))
         return net, windows, rng
 
